@@ -1,7 +1,7 @@
 /// \file bench_parallel_streams.cc
-/// Throughput of the parallel sharded stream executor vs. the serial
-/// StreamMonitor: frames/sec over S concurrent synthetic streams as a
-/// function of worker-thread count.
+/// Throughput of the sharded stream executor against its inline (0-thread)
+/// mode: frames/sec over S concurrent synthetic streams as a function of
+/// worker-thread count.
 ///
 /// Usage:
 ///   bench_parallel_streams [--streams=8] [--frames=2000] [--k=800]
@@ -14,8 +14,11 @@
 ///
 /// Every configuration processes the *same* precomputed DC-frame streams
 /// (content generation is excluded from the timed region), so the table
-/// isolates executor scaling. The serial row is the StreamMonitor baseline;
-/// speedup is relative to the 1-thread executor row.
+/// isolates executor scaling. The inline row runs every frame on the feeding
+/// thread and is the serial baseline; speedup is relative to it, so the
+/// 1-thread row's shortfall is the cost of handing frames to a worker. Every
+/// row must report the inline row's match count; a divergence fails the
+/// run (exit 1).
 
 #include <algorithm>
 #include <cmath>
@@ -26,7 +29,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/monitor.h"
 #include "parallel/executor.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -141,19 +143,24 @@ std::vector<sketch::Sketch> BuildQuerySketches(const Options& o,
 struct RunResult {
   double seconds = 0.0;
   size_t matches = 0;
-  double busy_seconds = 0.0;   ///< summed over shards (executor only)
+  double busy_seconds = 0.0;   ///< summed over shards
   size_t queue_high_water = 0;
 };
 
-/// One timed run: subscribe queries, open all streams, feed frames
-/// round-robin (the arrival pattern of concurrent live streams), close.
-template <typename Api>
-RunResult Feed(Api& api, const Options& o,
+/// One timed run on an executor with \p threads workers (0 = inline):
+/// subscribe queries, open all streams, feed frames round-robin (the
+/// arrival pattern of concurrent live streams), close.
+RunResult Feed(int threads, const core::DetectorConfig& config, const Options& o,
                const std::vector<std::vector<video::DcFrame>>& streams,
                const std::vector<sketch::Sketch>& queries) {
+  core::ParallelConfig pc;
+  pc.num_threads = threads;
+  pc.queue_capacity = 512;
+  pc.backpressure = core::BackpressurePolicy::kBlock;
+  auto exec = parallel::StreamExecutor::Create(config, pc).value();
   RunResult r;
   for (int q = 0; q < o.queries; ++q) {
-    auto st = api.AddQuerySketch(q + 1, queries[static_cast<size_t>(q)], 40, 16.0);
+    auto st = exec->AddQuerySketch(q + 1, queries[static_cast<size_t>(q)], 40, 16.0);
     if (!st.ok()) {
       std::fprintf(stderr, "AddQuerySketch: %s\n", st.ToString().c_str());
       std::exit(1);
@@ -161,18 +168,23 @@ RunResult Feed(Api& api, const Options& o,
   }
   std::vector<int> ids;
   for (int s = 0; s < o.streams; ++s) {
-    ids.push_back(api.OpenStream("stream-" + std::to_string(s)).value());
+    ids.push_back(exec->OpenStream("stream-" + std::to_string(s)).value());
   }
   Stopwatch sw;
   for (int i = 0; i < o.frames; ++i) {
     for (int s = 0; s < o.streams; ++s) {
-      (void)api.ProcessKeyFrame(ids[static_cast<size_t>(s)],
-                                streams[static_cast<size_t>(s)][static_cast<size_t>(i)]);
+      (void)exec->ProcessKeyFrame(
+          ids[static_cast<size_t>(s)],
+          streams[static_cast<size_t>(s)][static_cast<size_t>(i)]);
     }
   }
-  for (int id : ids) (void)api.CloseStream(id);
+  for (int id : ids) (void)exec->CloseStream(id);
   r.seconds = sw.ElapsedSeconds();
-  r.matches = api.matches().size();
+  r.matches = exec->matches().size();
+  for (const auto& sh : exec->Stats().shards) {
+    r.busy_seconds += sh.busy_seconds;
+    r.queue_high_water = std::max(r.queue_high_water, sh.queue_high_water);
+  }
   return r;
 }
 
@@ -181,7 +193,7 @@ RunResult Feed(Api& api, const Options& o,
 int main(int argc, char** argv) {
   const Options o = ParseOptions(argc, argv);
   const core::DetectorConfig config = MakeConfig(o);
-  std::printf("# parallel sharded stream executor: %d streams x %d key frames, "
+  std::printf("# stream executor, inline vs sharded: %d streams x %d key frames, "
               "K=%d, %d queries\n",
               o.streams, o.frames, o.k, o.queries);
   const auto streams = BuildStreams(o);
@@ -199,47 +211,18 @@ int main(int argc, char** argv) {
   json.AddMeta("queries", BenchJsonWriter::Num(int64_t{o.queries}));
   json.AddMeta("seed", BenchJsonWriter::Num(static_cast<int64_t>(o.seed)));
 
-  auto mon = core::StreamMonitor::Create(config).value();
-  const RunResult serial = Feed(*mon, o, streams, queries);
-  table.AddRow({"serial", "-", TablePrinter::Fmt(serial.seconds),
-                TablePrinter::Fmt(total_frames / serial.seconds, 0), "-",
-                std::to_string(serial.matches), "-", "-"});
-  json.AddRow({{"executor", BenchJsonWriter::Str("serial")},
-               {"threads", BenchJsonWriter::Num(int64_t{0})},
-               {"seconds", BenchJsonWriter::Num(serial.seconds)},
-               {"fps", BenchJsonWriter::Num(total_frames / serial.seconds)},
-               {"speedup", "null"},
-               {"matches", BenchJsonWriter::Num(static_cast<int64_t>(serial.matches))},
-               {"busy_seconds", "null"},
-               {"queue_high_water", "null"}});
-
-  double base_fps = 0.0;
-  for (int threads : o.threads) {
-    core::ParallelConfig pc;
-    pc.num_threads = threads;
-    pc.queue_capacity = 512;
-    pc.backpressure = core::BackpressurePolicy::kBlock;
-    auto exec = parallel::StreamExecutor::Create(config, pc).value();
-    RunResult r = Feed(*exec, o, streams, queries);
-    const parallel::ExecutorStats es = exec->Stats();
-    for (const auto& sh : es.shards) {
-      r.busy_seconds += sh.busy_seconds;
-      r.queue_high_water = std::max(r.queue_high_water, sh.queue_high_water);
-    }
+  const RunResult inline_run = Feed(0, config, o, streams, queries);
+  const double base_fps = total_frames / inline_run.seconds;
+  const auto add_row = [&](const char* executor, int threads, const RunResult& r) {
     const double fps = total_frames / r.seconds;
-    if (base_fps == 0.0) base_fps = fps;
-    if (r.matches != serial.matches) {
-      std::fprintf(stderr, "WARNING: match count diverged (%zu vs serial %zu)\n",
-                   r.matches, serial.matches);
-    }
     char speedup[32];
     std::snprintf(speedup, sizeof speedup, "%.2fx", fps / base_fps);
-    table.AddRow({"sharded", std::to_string(threads), TablePrinter::Fmt(r.seconds),
+    table.AddRow({executor, std::to_string(threads), TablePrinter::Fmt(r.seconds),
                   TablePrinter::Fmt(fps, 0), speedup, std::to_string(r.matches),
                   TablePrinter::Fmt(r.busy_seconds),
                   std::to_string(r.queue_high_water)});
     json.AddRow(
-        {{"executor", BenchJsonWriter::Str("sharded")},
+        {{"executor", BenchJsonWriter::Str(executor)},
          {"threads", BenchJsonWriter::Num(int64_t{threads})},
          {"seconds", BenchJsonWriter::Num(r.seconds)},
          {"fps", BenchJsonWriter::Num(fps)},
@@ -248,6 +231,19 @@ int main(int argc, char** argv) {
          {"busy_seconds", BenchJsonWriter::Num(r.busy_seconds)},
          {"queue_high_water",
           BenchJsonWriter::Num(static_cast<int64_t>(r.queue_high_water))}});
+  };
+
+  add_row("inline", 0, inline_run);
+  bool diverged = false;
+  for (int threads : o.threads) {
+    const RunResult r = Feed(threads, config, o, streams, queries);
+    if (r.matches != inline_run.matches) {
+      std::fprintf(stderr,
+                   "ERROR: %d threads: match count diverged (%zu vs inline %zu)\n",
+                   threads, r.matches, inline_run.matches);
+      diverged = true;
+    }
+    add_row("sharded", threads, r);
   }
   table.Print();
   if (!o.json_path.empty()) {
@@ -258,5 +254,5 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote %s\n", o.json_path.c_str());
   }
-  return 0;
+  return diverged ? 1 : 0;
 }

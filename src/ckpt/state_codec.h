@@ -14,11 +14,13 @@
 /// Encoding between the in-memory checkpoint state (core::StreamCkpt et al.)
 /// and the snapshot container's section payloads (docs/FORMATS.md).
 ///
-/// The codec is engine-agnostic: the serial StreamMonitor and the parallel
-/// StreamExecutor both checkpoint through the same SnapshotState — serial
-/// matches simply carry seq = 0 and next_seq = 1. A snapshot taken by one
-/// engine restores onto the other, provided the detector parameters match
-/// (CheckMeta rejects everything else with a typed error).
+/// The codec carries no shard layout: the StreamExecutor checkpoints through
+/// one SnapshotState at every thread count (inline mode included), and a
+/// snapshot taken at one thread count restores at any other, provided the
+/// detector parameters match (CheckMeta rejects everything else with a
+/// typed error). Snapshots from before serial monitoring became the
+/// executor's inline mode carry seq = 0 on every match and next_seq = 1;
+/// they restore unchanged.
 
 namespace vcd::ckpt {
 
@@ -37,7 +39,7 @@ struct DriverFileState {
   std::string path;
   int64_t frames_fed = 0;  ///< key frames already consumed by the detector
   bool done = false;       ///< the file was fully fed before the checkpoint
-  int stream_id = 0;       ///< executor/monitor stream carrying this file
+  int stream_id = 0;       ///< executor stream carrying this file
 };
 
 /// \brief Everything one snapshot carries, decoded.

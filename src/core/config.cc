@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include <string>
+
 namespace vcd::core {
 
 const char* RepresentationName(Representation r) {
@@ -27,7 +29,10 @@ const char* CorruptionPolicyName(CorruptionPolicy p) {
 }
 
 Status ParallelConfig::Validate() const {
-  if (num_threads < 0) return Status::InvalidArgument("num_threads must be >= 0");
+  if (num_threads < 0 || num_threads > kMaxThreads) {
+    return Status::InvalidArgument("num_threads must be in [0, " +
+                                   std::to_string(kMaxThreads) + "]");
+  }
   if (queue_capacity < 1) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }

@@ -55,14 +55,21 @@ enum class CorruptionPolicy {
 /// Human-readable name ("skip"/"quarantine"/"fail") for logs and CLI flags.
 const char* CorruptionPolicyName(CorruptionPolicy p);
 
-/// Configuration of the parallel sharded stream executor
-/// (parallel::StreamExecutor). Streams are sharded across worker threads
-/// with stable per-stream affinity; each shard owns a bounded submission
-/// queue.
+/// Largest accepted ParallelConfig::num_threads (and `vcdctl monitor
+/// --threads`): a sanity cap that stops a typo from asking the OS for
+/// thousands of threads.
+inline constexpr int kMaxThreads = 256;
+
+/// Configuration of the stream executor (parallel::StreamExecutor). Streams
+/// are sharded across worker threads with stable per-stream affinity; each
+/// shard owns a bounded submission queue.
 struct ParallelConfig {
-  /// Worker threads (= shards). 0 means std::thread::hardware_concurrency().
+  /// Worker threads (= shards), in [0, kMaxThreads]. 0 (the default) is the
+  /// inline mode: one shard, no worker thread, and every frame and command
+  /// runs on the calling thread — the serial engine.
   int num_threads = 0;
   /// Capacity of each shard's bounded submission queue (frames + commands).
+  /// Unused in the inline mode, which queues nothing.
   int queue_capacity = 256;
   /// Behaviour of ProcessKeyFrame when the shard queue is full.
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;

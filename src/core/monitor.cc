@@ -4,12 +4,6 @@
 
 namespace vcd::core {
 
-Result<std::unique_ptr<StreamMonitor>> StreamMonitor::Create(
-    const DetectorConfig& config) {
-  VCD_RETURN_IF_ERROR(config.Validate());
-  return std::unique_ptr<StreamMonitor>(new StreamMonitor(config));
-}
-
 Result<PreparedQuery> PrepareQuery(const DetectorConfig& config,
                                    const std::vector<vcd::video::DcFrame>& key_frames,
                                    double duration_seconds) {
@@ -34,175 +28,6 @@ Result<PreparedQuery> PrepareQuery(const DetectorConfig& config,
   q.duration_seconds = duration_seconds;
   q.sketch = sketcher.FromSequence(cells);
   return q;
-}
-
-Status StreamMonitor::AddQuerySketchLocked(int id, const sketch::Sketch& sk,
-                                           int length_frames,
-                                           double duration_seconds) {
-  if (sk.K() != config_.K) {
-    return Status::InvalidArgument("sketch K does not match monitor config");
-  }
-  for (const PortfolioEntry& e : portfolio_) {
-    if (e.id == id) return Status::AlreadyExists("query id " + std::to_string(id));
-  }
-  // Propagate to every open stream first so a failure leaves the portfolio
-  // unchanged.
-  for (auto& [sid, state] : streams_) {
-    VCD_RETURN_IF_ERROR(
-        state.detector->AddQuerySketch(id, sk, length_frames, duration_seconds));
-  }
-  portfolio_.push_back(PortfolioEntry{id, length_frames, duration_seconds, sk});
-  return Status::OK();
-}
-
-Status StreamMonitor::AddQuerySketch(int id, const sketch::Sketch& sk,
-                                     int length_frames, double duration_seconds) {
-  MutexLock lock(mu_);
-  return AddQuerySketchLocked(id, sk, length_frames, duration_seconds);
-}
-
-Status StreamMonitor::AddQuery(int id,
-                               const std::vector<vcd::video::DcFrame>& key_frames,
-                               double duration_seconds) {
-  auto prepared = PrepareQuery(config_, key_frames, duration_seconds);
-  if (!prepared.ok()) return prepared.status();
-  return AddQuerySketch(id, prepared->sketch, prepared->length_frames,
-                        prepared->duration_seconds);
-}
-
-Status StreamMonitor::ImportQueries(const QueryDb& db) {
-  if (db.k != config_.K) {
-    return Status::FailedPrecondition("query db K does not match monitor config");
-  }
-  if (db.hash_seed != config_.hash_seed) {
-    return Status::FailedPrecondition("query db hash seed does not match config");
-  }
-  MutexLock lock(mu_);
-  for (const StoredQuery& q : db.queries) {
-    VCD_RETURN_IF_ERROR(
-        AddQuerySketchLocked(q.id, q.sketch, q.length_frames, q.duration_seconds));
-  }
-  return Status::OK();
-}
-
-Status StreamMonitor::RemoveQuery(int id) {
-  MutexLock lock(mu_);
-  bool found = false;
-  for (size_t i = 0; i < portfolio_.size(); ++i) {
-    if (portfolio_[i].id == id) {
-      portfolio_.erase(portfolio_.begin() + static_cast<long>(i));
-      found = true;
-      break;
-    }
-  }
-  if (!found) return Status::NotFound("query id " + std::to_string(id));
-  for (auto& [sid, state] : streams_) {
-    VCD_RETURN_IF_ERROR(state.detector->RemoveQuery(id));
-  }
-  return Status::OK();
-}
-
-Result<int> StreamMonitor::OpenStream(std::string name) {
-  MutexLock lock(mu_);
-  auto det = CopyDetector::Create(config_);
-  if (!det.ok()) return det.status();
-  for (const PortfolioEntry& e : portfolio_) {
-    VCD_RETURN_IF_ERROR((*det)->AddQuerySketch(e.id, e.sketch, e.length_frames,
-                                               e.duration_seconds));
-  }
-  const int id = next_stream_id_++;
-  StreamState state;
-  state.name = std::move(name);
-  state.detector = std::move(*det);
-  streams_.emplace(id, std::move(state));
-  return id;
-}
-
-void StreamMonitor::DrainMatches(int stream_id, StreamState* state) {
-  const auto& ms = state->detector->matches();
-  for (; state->matches_consumed < ms.size(); ++state->matches_consumed) {
-    matches_.push_back(StreamMatch{stream_id, state->name,
-                                   ms[state->matches_consumed]});
-  }
-}
-
-Status StreamMonitor::ProcessKeyFrame(int stream_id,
-                                      const vcd::video::DcFrame& frame) {
-  MutexLock lock(mu_);
-  auto it = streams_.find(stream_id);
-  if (it == streams_.end()) return Status::NotFound("no such stream");
-  VCD_RETURN_IF_ERROR(it->second.detector->ProcessKeyFrame(frame));
-  DrainMatches(stream_id, &it->second);
-  return Status::OK();
-}
-
-Status StreamMonitor::CloseStream(int stream_id) {
-  MutexLock lock(mu_);
-  auto it = streams_.find(stream_id);
-  if (it == streams_.end()) return Status::NotFound("no such stream");
-  VCD_RETURN_IF_ERROR(it->second.detector->Finish());
-  DrainMatches(stream_id, &it->second);
-  streams_.erase(it);
-  return Status::OK();
-}
-
-Result<DetectorStats> StreamMonitor::StreamStats(int stream_id) const {
-  MutexLock lock(mu_);
-  auto it = streams_.find(stream_id);
-  if (it == streams_.end()) return Status::NotFound("no such stream");
-  return it->second.detector->stats();
-}
-
-MonitorCkpt StreamMonitor::ExportCkpt() const {
-  MutexLock lock(mu_);
-  MonitorCkpt ckpt;
-  ckpt.next_stream_id = next_stream_id_;
-  for (const auto& [sid, state] : streams_) {
-    StreamCkpt s;
-    s.stream_id = sid;
-    s.name = state.name;
-    s.matches_consumed = state.matches_consumed;
-    s.detector = state.detector->ExportCkptState();
-    ckpt.streams.push_back(std::move(s));
-  }
-  ckpt.matches = matches_;
-  return ckpt;
-}
-
-Status StreamMonitor::RestoreCkpt(const MonitorCkpt& ckpt) {
-  MutexLock lock(mu_);
-  if (!streams_.empty() || !matches_.empty()) {
-    return Status::FailedPrecondition(
-        "RestoreCkpt requires a monitor with no open streams or matches");
-  }
-  for (const StreamCkpt& s : ckpt.streams) {
-    if (s.stream_id <= 0 || s.stream_id >= ckpt.next_stream_id) {
-      return Status::Corruption("snapshot stream id " +
-                                std::to_string(s.stream_id) +
-                                " outside [1, next_stream_id)");
-    }
-    auto det = CopyDetector::Create(config_);
-    if (!det.ok()) return det.status();
-    for (const PortfolioEntry& e : portfolio_) {
-      VCD_RETURN_IF_ERROR((*det)->AddQuerySketch(e.id, e.sketch, e.length_frames,
-                                                 e.duration_seconds));
-    }
-    VCD_RETURN_IF_ERROR((*det)->RestoreCkptState(s.detector));
-    StreamState state;
-    state.name = s.name;
-    state.detector = std::move(*det);
-    state.matches_consumed = static_cast<size_t>(s.matches_consumed);
-    if (state.matches_consumed > state.detector->matches().size()) {
-      return Status::Corruption(
-          "snapshot matches_consumed exceeds the stream's match count");
-    }
-    if (!streams_.emplace(s.stream_id, std::move(state)).second) {
-      return Status::Corruption("duplicate stream id in snapshot");
-    }
-  }
-  next_stream_id_ = ckpt.next_stream_id;
-  matches_ = ckpt.matches;
-  return Status::OK();
 }
 
 }  // namespace vcd::core

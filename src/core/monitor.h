@@ -1,40 +1,17 @@
 #pragma once
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/detector.h"
-#include "core/query_store.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 /// \file monitor.h
-/// Monitoring many *concurrent* video streams against one shared query
-/// portfolio — the paper's deployment picture ("there are many concurrent
-/// video streams and for each stream, there could be many continuous video
-/// copy monitoring queries").
-///
-/// `StreamMonitor` owns the portfolio; every opened stream gets its own
-/// detection state (candidate lists are inherently per-stream), and query
-/// subscribe/unsubscribe propagates to all streams online.
-///
-/// ### Thread safety
-/// `StreamMonitor` is *internally synchronized* on one annotated mutex
-/// (`vcd::Mutex`, checked by Clang Thread Safety Analysis under
-/// `VCD_WERROR`): every public method may be called from any thread, and
-/// all of them serialize on `mu_` — the serial monitor stays a serial
-/// engine, it just can no longer be corrupted by a stray concurrent call.
-/// The accessors (`num_queries`, `num_open_streams`, `matches`,
-/// `StreamStats`) return *snapshots by value*, never references into
-/// internal containers, so a caller holding a result can never observe a
-/// dangling or half-mutated view — the contract the parallel executor
-/// (parallel/executor.h) relies on when it drives per-shard monitors'
-/// building blocks from worker threads. For *scalable* multi-stream
-/// processing use `parallel::StreamExecutor`, which shards streams across
-/// worker threads (no shared lock on the frame path) and preserves this
-/// class's semantics.
+/// Types shared by every multi-stream driver of the detector: the
+/// stream-attributed match, one stream's checkpointed state, and query
+/// preparation. The multi-stream engine itself is
+/// `parallel::StreamExecutor` (serial monitoring is its inline 0-thread
+/// mode); candidate lists are inherently per-stream, so each monitored
+/// stream owns one `CopyDetector` while the query portfolio is shared.
 
 namespace vcd::core {
 
@@ -45,12 +22,9 @@ struct StreamMatch {
   Match match;
 };
 
-/// \brief One monitored stream's full checkpointed state.
-///
-/// Shared by the serial StreamMonitor and the parallel executor's shards so
-/// both engines write the same STREAMS snapshot section (docs/FORMATS.md):
-/// the health-machine fields are live on shards and stay at their defaults
-/// for serially monitored streams.
+/// \brief One monitored stream's full checkpointed state: the STREAMS
+/// snapshot section (docs/FORMATS.md), written by the executor's shards at
+/// every thread count, inline included.
 struct StreamCkpt {
   int stream_id = 0;
   std::string name;
@@ -67,17 +41,9 @@ struct StreamCkpt {
   double max_timestamp = 0.0;
   bool saw_timestamp = false;
   /// QoS priority class (qos::Priority as int) assigned at registration.
-  /// Defaults to kNormal (1) for serially monitored streams and for
-  /// snapshots written before the field existed.
+  /// Defaults to kNormal (1) for snapshots written before the field existed.
   int priority = 1;
   DetectorCkptState detector;
-};
-
-/// \brief Checkpointed state of a whole StreamMonitor.
-struct MonitorCkpt {
-  int next_stream_id = 1;
-  std::vector<StreamCkpt> streams;  ///< ascending stream_id
-  std::vector<StreamMatch> matches;
 };
 
 /// A query prepared for subscription: the sketch of its key-frame cell
@@ -90,112 +56,11 @@ struct PreparedQuery {
 };
 
 /// Fingerprints and sketches \p key_frames under \p config, inferring
-/// \p duration_seconds from the timestamps when it is ≤ 0. Shared by the
-/// serial monitor and the parallel executor so both subscribe *identical*
-/// query sketches.
+/// \p duration_seconds from the timestamps when it is ≤ 0. The executor's
+/// AddQuery, the benchmarks' query builders and the test oracles all go
+/// through it, so every path subscribes *identical* query sketches.
 Result<PreparedQuery> PrepareQuery(const DetectorConfig& config,
                                    const std::vector<vcd::video::DcFrame>& key_frames,
                                    double duration_seconds);
-
-/// \brief Fan-out facade: one query portfolio, many monitored streams.
-class StreamMonitor {
- public:
-  /// Creates a monitor; all streams share \p config.
-  static Result<std::unique_ptr<StreamMonitor>> Create(const DetectorConfig& config);
-
-  /// Subscribes a query (key-frame DC maps) on every stream, present and
-  /// future.
-  Status AddQuery(int id, const std::vector<vcd::video::DcFrame>& key_frames,
-                  double duration_seconds = -1.0) VCD_EXCLUDES(mu_);
-
-  /// Subscribes a pre-sketched query (e.g. from a loaded QueryDb whose K
-  /// and hash seed match this monitor's config).
-  Status AddQuerySketch(int id, const sketch::Sketch& sk, int length_frames,
-                        double duration_seconds) VCD_EXCLUDES(mu_);
-
-  /// Loads a persisted query database. Fails unless its hash-family
-  /// parameters match the monitor's config.
-  Status ImportQueries(const QueryDb& db) VCD_EXCLUDES(mu_);
-
-  /// Unsubscribes a query everywhere.
-  Status RemoveQuery(int id) VCD_EXCLUDES(mu_);
-
-  /// Number of active queries (snapshot).
-  int num_queries() const VCD_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return static_cast<int>(portfolio_.size());
-  }
-
-  /// Opens a new monitored stream; returns its id.
-  Result<int> OpenStream(std::string name) VCD_EXCLUDES(mu_);
-
-  /// Flushes and closes a stream. Its matches remain readable.
-  Status CloseStream(int stream_id) VCD_EXCLUDES(mu_);
-
-  /// Number of currently open streams (snapshot).
-  int num_open_streams() const VCD_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return static_cast<int>(streams_.size());
-  }
-
-  /// Feeds one key frame of stream \p stream_id.
-  Status ProcessKeyFrame(int stream_id, const vcd::video::DcFrame& frame)
-      VCD_EXCLUDES(mu_);
-
-  /// All matches so far, across open and closed streams, in arrival order.
-  /// Returns a snapshot copy — safe to keep across later mutations.
-  std::vector<StreamMatch> matches() const VCD_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return matches_;
-  }
-
-  /// Detector stats for an open stream (snapshot copy).
-  Result<DetectorStats> StreamStats(int stream_id) const VCD_EXCLUDES(mu_);
-
-  /// \brief Exports every open stream's state plus the match log for a
-  /// checkpoint. Safe between any two ProcessKeyFrame calls.
-  MonitorCkpt ExportCkpt() const VCD_EXCLUDES(mu_);
-
-  /// \brief Restores a checkpoint onto a fresh monitor.
-  ///
-  /// Preconditions: the portfolio has been re-imported (ImportQueries with
-  /// the snapshot's embedded QueryDb) and no stream has been opened.
-  /// Rebuilds each stream's detector and re-validates it; typed errors on
-  /// mismatched config or malformed state.
-  Status RestoreCkpt(const MonitorCkpt& ckpt) VCD_EXCLUDES(mu_);
-
- private:
-  struct StreamState {
-    std::string name;
-    std::unique_ptr<CopyDetector> detector;
-    size_t matches_consumed = 0;
-  };
-  struct PortfolioEntry {
-    int id;
-    int length_frames;
-    double duration_seconds;
-    sketch::Sketch sketch;  // NOLINT(vcd-pooled-hotpath): per-query, cold
-  };
-
-  explicit StreamMonitor(const DetectorConfig& config) : config_(config) {}
-
-  /// AddQuerySketch body; requires mu_ held.
-  Status AddQuerySketchLocked(int id, const sketch::Sketch& sk, int length_frames,
-                              double duration_seconds) VCD_REQUIRES(mu_);
-
-  /// Moves freshly produced matches of \p state into the global log.
-  void DrainMatches(int stream_id, StreamState* state) VCD_REQUIRES(mu_);
-
-  DetectorConfig config_;
-
-  /// Guards the portfolio, the stream table and the match log. kMonitor:
-  /// detector construction registers metrics (kMetricsRegistry) while this
-  /// is held (DESIGN.md §14).
-  mutable Mutex mu_{LockRank::kMonitor, "stream_monitor"};
-  std::vector<PortfolioEntry> portfolio_ VCD_GUARDED_BY(mu_);
-  std::map<int, StreamState> streams_ VCD_GUARDED_BY(mu_);
-  int next_stream_id_ VCD_GUARDED_BY(mu_) = 1;
-  std::vector<StreamMatch> matches_ VCD_GUARDED_BY(mu_);
-};
 
 }  // namespace vcd::core

@@ -32,11 +32,8 @@ StreamExecutor::StreamExecutor(const core::DetectorConfig& config,
       config_(WithMetrics(config, registry_)),
       pconfig_(parallel),
       metrics_(obs::ExecutorMetrics::Create(registry_)) {
-  int n = parallel.num_threads;
-  if (n == 0) {
-    n = static_cast<int>(std::thread::hardware_concurrency());
-    if (n < 1) n = 1;
-  }
+  // num_threads 0 is the inline mode: one shard that runs on the caller.
+  const int n = parallel.num_threads > 0 ? parallel.num_threads : 1;
   shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>(i, parallel, registry_));

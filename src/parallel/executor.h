@@ -19,21 +19,27 @@
 #include "util/thread_annotations.h"
 
 /// \file executor.h
-/// Parallel sharded stream executor — the scale-out form of
-/// `core::StreamMonitor` (the paper's "many concurrent video streams"
-/// deployment picture, §II/§V-C).
+/// The stream executor: one query portfolio monitored over many concurrent
+/// video streams (the paper's deployment picture, §II/§V-C). It is the only
+/// multi-stream engine; serial monitoring is its inline mode.
 ///
 /// Open streams are sharded across N worker threads with stable per-stream
 /// affinity (`shard = (stream_id - 1) % N`). Candidate lists are inherently
 /// per-stream, so shards share nothing on the frame path: `ProcessKeyFrame`
 /// touches only an atomic id bound check, a global sequence counter and the
 /// owning shard's bounded MPSC queue — no portfolio lock, no registry lock.
+/// With `num_threads == 0` (the default) there is one inline shard and no
+/// worker: each frame and command runs on the calling thread through the
+/// same shard code (shard.h "Inline mode"), so the serial engine has the
+/// health machine, metrics, checkpoint barrier and match sequencing of the
+/// threaded one.
 ///
 /// Query subscribe/unsubscribe propagates through per-shard command queues:
 /// commands ride the same FIFO as frames, so a portfolio change takes
 /// effect after every frame submitted before it and before every frame
-/// submitted after it — window-boundary-exact, and identical to the serial
-/// monitor's semantics for any single-threaded submission schedule.
+/// submitted after it — window-boundary-exact, and identical at every
+/// thread count (inline included) for any single-threaded submission
+/// schedule.
 ///
 /// Matches are collected mutex-free on the frame path: each shard's worker
 /// appends to a thread-local log tagged with the frame's global submission
@@ -109,12 +115,13 @@ struct ExecutorCkpt {
   std::vector<qos::GovernorShardCkpt> qos;
 };
 
-/// \brief Worker-pool stream executor: StreamMonitor semantics, N threads.
+/// \brief Multi-stream executor: N worker threads, or inline at 0.
 class StreamExecutor {
  public:
   /// Creates an executor; all streams share \p config, threading per
-  /// \p parallel. Fails on invalid config. When `parallel.watchdog_ms > 0`
-  /// a shard watchdog thread is started (see file comment).
+  /// \p parallel (0 threads = inline). Fails on invalid config. When
+  /// `parallel.watchdog_ms > 0` a shard watchdog thread is started (see
+  /// file comment).
   static Result<std::unique_ptr<StreamExecutor>> Create(
       const core::DetectorConfig& config, const core::ParallelConfig& parallel);
 
@@ -145,7 +152,7 @@ class StreamExecutor {
   int num_queries() const VCD_EXCLUDES(control_mu_);
 
   /// Opens a new monitored stream; returns its id. The stream is pinned to
-  /// shard `(id - 1) % num_threads` for its whole lifetime. \p priority is
+  /// shard `(id - 1) % num_shards()` for its whole lifetime. \p priority is
   /// its QoS class: under overload shedding, kHigh streams are never shed,
   /// kNormal streams lose 1 frame in 2 and kLow streams 3 in 4 — monotone
   /// by class, and every class keeps making progress (DESIGN.md §17).
@@ -164,7 +171,8 @@ class StreamExecutor {
   /// failover keeps counting until its orphaned reply is reaped.
   int num_open_streams() const;
 
-  /// Enqueues one key frame of stream \p stream_id on its shard.
+  /// Enqueues one key frame of stream \p stream_id on its shard (inline:
+  /// processes it before returning).
   /// Returns NotFound for ids never issued; OK otherwise. A frame can be
   /// discarded after acceptance, but is then counted in exactly one bucket
   /// of the unified `vcd_frames_dropped_total{cause=...}` family:
@@ -216,8 +224,9 @@ class StreamExecutor {
   /// the snapshot's embedded QueryDb) and no stream has been opened.
   /// Rebuilds each stream's detector, re-validates it (typed errors on
   /// malformed state), and reinstalls it on its home shard
-  /// (`(id - 1) % num_threads` — the same affinity the ids had before the
-  /// crash, provided num_threads matches the checkpointed run).
+  /// (`(id - 1) % num_shards()` — the same affinity the ids had before the
+  /// crash, provided num_threads matches the checkpointed run; snapshots
+  /// carry no shard layout, so any thread count can restore any snapshot).
   Status RestoreCkpt(const ExecutorCkpt& ckpt) VCD_EXCLUDES(control_mu_);
 
   /// Executor counters plus per-shard stats and aggregated detector stats.
@@ -226,7 +235,7 @@ class StreamExecutor {
   /// being waited on.
   ExecutorStats Stats() VCD_EXCLUDES(control_mu_);
 
-  /// Number of shards (= worker threads).
+  /// Number of shards (= worker threads; 1 in the inline mode).
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
   /// Runs one governor tick synchronously: samples every shard's pressure,

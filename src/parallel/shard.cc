@@ -30,12 +30,13 @@ Shard::Shard(int shard_id, const core::ParallelConfig& config,
              obs::MetricsRegistry* registry)
     : shard_id_(shard_id),
       config_(config),
+      inline_(config.num_threads == 0),
       queue_(static_cast<size_t>(config.queue_capacity)),
-      metrics_(obs::ShardMetrics::Create(registry, shard_id)),
-      worker_([this] { Run(); }) {
+      metrics_(obs::ShardMetrics::Create(registry, shard_id)) {
   // Snapshot() dereferences the counters unconditionally; a null registry
   // is a wiring bug (the executor always supplies one), not input.
   VCD_CHECK(registry != nullptr, "Shard requires a metrics registry");
+  if (!inline_) worker_ = std::thread([this] { Run(); });
 }
 
 Shard::~Shard() {
@@ -86,6 +87,10 @@ Shard::Submit Shard::SubmitFrame(uint64_t seq, int stream_id,
                             prev, us, std::memory_order_relaxed)) {
     }
   }
+  if (inline_) {
+    RunInline(std::move(t));
+    return Submit::kAccepted;
+  }
   if (config_.backpressure == core::BackpressurePolicy::kBlock) {
     if (config_.push_deadline_ms > 0) {
       const auto result = queue_.PushWithDeadline(
@@ -120,6 +125,10 @@ void Shard::UnregisterStreamQos(int stream_id) {
 void Shard::SubmitCommand(Command cmd) {
   Task t;
   t.command = std::move(cmd);
+  if (inline_) {
+    RunInline(std::move(t));
+    return;
+  }
   queue_.PushUnbounded(std::move(t));
 }
 
@@ -150,26 +159,33 @@ ShardStats Shard::Snapshot() const {
 
 void Shard::Run() {
   Task t;
-  while (queue_.Pop(&t)) {
-    double stall_ms = 0.0;
-    // Keyed shard_id + 1 so a plan can target one shard (key 0 = any).
-    if (faultfx::ShouldFire(faultfx::Site::kShardStall,
-                            static_cast<uint64_t>(shard_id_) + 1, &stall_ms) &&
-        stall_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<int64_t>(stall_ms)));
-    }
-    Stopwatch sw;
-    if (t.command) {
-      t.command(this);
-      commands_processed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ProcessFrame(t);
-    }
-    busy_nanos_.fetch_add(static_cast<int64_t>(sw.ElapsedSeconds() * 1e9),
-                          std::memory_order_relaxed);
-    VCD_OBS_SET(metrics_.queue_depth, static_cast<int64_t>(queue_.depth()));
+  while (queue_.Pop(&t)) Execute(t);
+}
+
+void Shard::RunInline(Task t) {
+  MutexLock lock(inline_mu_);
+  Execute(t);
+}
+
+void Shard::Execute(Task& t) {
+  double stall_ms = 0.0;
+  // Keyed shard_id + 1 so a plan can target one shard (key 0 = any).
+  if (faultfx::ShouldFire(faultfx::Site::kShardStall,
+                          static_cast<uint64_t>(shard_id_) + 1, &stall_ms) &&
+      stall_ms > 0) {
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(static_cast<int64_t>(stall_ms)));
   }
+  Stopwatch sw;
+  if (t.command) {
+    t.command(this);
+    commands_processed_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    ProcessFrame(t);
+  }
+  busy_nanos_.fetch_add(static_cast<int64_t>(sw.ElapsedSeconds() * 1e9),
+                        std::memory_order_relaxed);
+  VCD_OBS_SET(metrics_.queue_depth, static_cast<int64_t>(queue_.depth()));
 }
 
 void Shard::ProcessFrame(Task& t) {
@@ -187,7 +203,7 @@ void Shard::ProcessFrame(Task& t) {
   auto it = streams_.find(t.stream_id);
   if (it == streams_.end()) {
     // The stream was closed (or never installed) before this frame ran —
-    // the asynchronous analogue of the serial monitor's NotFound.
+    // the asynchronous analogue of a NotFound.
     metrics_.frames_rejected_total->Inc();
     return;
   }

@@ -19,16 +19,25 @@
 #include "video/partial_decoder.h"
 
 /// \file shard.h
-/// One shard of the parallel stream executor: a worker thread, its bounded
+/// One shard of the stream executor: a worker thread, its bounded
 /// submission queue, and the detection state of the streams pinned to it.
 ///
-/// Candidate lists are inherently per-stream (core/monitor.h), so shards
-/// share nothing on the frame path: every stream's detector lives on exactly
-/// one shard, and all mutation happens on that shard's worker thread. The
-/// control plane talks to a shard only through commands enqueued into the
-/// same FIFO queue as frames, which is what makes ordering deterministic:
-/// a command takes effect after every frame submitted before it and before
-/// every frame submitted after it — exactly the serial-monitor semantics.
+/// Candidate lists are inherently per-stream, so shards share nothing on
+/// the frame path: every stream's detector lives on exactly one shard, and
+/// all mutation happens on that shard's worker thread. The control plane
+/// talks to a shard only through commands enqueued into the same FIFO queue
+/// as frames, which is what makes ordering deterministic: a command takes
+/// effect after every frame submitted before it and before every frame
+/// submitted after it — exactly the order a single-threaded caller issued.
+///
+/// ### Inline mode
+/// With `ParallelConfig::num_threads == 0` the shard starts no worker:
+/// SubmitFrame and SubmitCommand run the task on the caller's thread,
+/// through the same Execute() body the worker loop runs (faultfx sites,
+/// health machine, metrics, busy time, match sequencing), serialized on the
+/// kInlineShard-ranked `inline_mu_` so every public entry point stays safe
+/// from any thread. Nothing is queued, so backpressure, the push deadline
+/// and the watchdog never trigger; this is the serial engine.
 ///
 /// ### Lock discipline
 /// A shard's frame-path synchronization point is the bounded MPSC queue
@@ -37,10 +46,11 @@
 /// thread — a confinement Clang's Thread Safety Analysis cannot express, so
 /// the split below is enforced by convention: the "shard-thread side"
 /// methods run only inside a queued Command, and cross-thread reads go
-/// through the relaxed-atomic counters in Snapshot(). The only shard mutex
-/// is the kQos-ranked shed gate (`qos_mu_`), taken briefly on the producer
-/// side and only while the governor holds the shard in Shedding; it is
-/// never held across a queue push (kQos < kQueue in the lock hierarchy).
+/// through the relaxed-atomic counters in Snapshot(). Besides the inline
+/// mode's `inline_mu_`, the only shard mutex is the kQos-ranked shed gate
+/// (`qos_mu_`), taken briefly on the producer side and only while the
+/// governor holds the shard in Shedding; it is released before the task is
+/// queued or run (kQos is below kQueue and kInlineShard).
 
 namespace vcd::parallel {
 
@@ -96,8 +106,9 @@ struct ShardStats {
 /// \brief Worker thread + queue + per-stream detectors of one shard.
 class Shard {
  public:
-  /// A control command, executed on the shard's worker thread. Commands run
-  /// in FIFO order with frames and are never dropped by backpressure.
+  /// A control command, executed on the shard's worker thread (inline: on
+  /// the submitting thread). Commands run in FIFO order with frames and are
+  /// never dropped by backpressure.
   using Command = std::function<void(Shard*)>;
 
   /// Result of a frame submission.
@@ -113,30 +124,32 @@ class Shard {
   /// `shard="<id>"`) and is the storage behind the frame-accounting fields
   /// of Snapshot(). Must be non-null and outlive the shard — the executor
   /// always provides one (its own private registry when the config does not
-  /// name a process registry).
+  /// name a process registry). `config.num_threads == 0` makes the shard
+  /// inline (see file comment); otherwise it starts its worker thread.
   Shard(int shard_id, const core::ParallelConfig& config,
         obs::MetricsRegistry* registry);
 
-  /// Closes the queue, drains remaining tasks and joins the worker.
+  /// Closes the queue, drains remaining tasks and joins the worker (if any).
   ~Shard();
 
   // --- producer side (any thread) ---------------------------------------
 
-  /// Enqueues one key frame of \p stream_id. Blocks when the queue is full
-  /// under kBlock (bounded by `push_deadline_ms` when configured — the
-  /// timeout returns kDeadline); returns kDropped under kDropNewest. While
-  /// the shard is failed over (watchdog), returns kFailedOver without
-  /// touching the queue — a failed shard must never block a producer. While
-  /// the governor holds this shard in Shedding, the priority policy may
-  /// return kShedded (filling \p shed_priority with the victim's class)
-  /// before the frame reaches the queue or the lag reference point.
+  /// Enqueues one key frame of \p stream_id (inline: runs it before
+  /// returning). Blocks when the queue is full under kBlock (bounded by
+  /// `push_deadline_ms` when configured — the timeout returns kDeadline);
+  /// returns kDropped under kDropNewest. While the shard is failed over
+  /// (watchdog), returns kFailedOver without touching the queue — a failed
+  /// shard must never block a producer. While the governor holds this shard
+  /// in Shedding, the priority policy may return kShedded (filling
+  /// \p shed_priority with the victim's class) before the frame reaches the
+  /// queue or the lag reference point.
   Submit SubmitFrame(uint64_t seq, int stream_id, vcd::video::DcFrame frame,
                      qos::Priority* shed_priority = nullptr);
 
-  /// Enqueues a control command. Commands bypass the capacity bound
-  /// (PushUnbounded) and are never dropped, whatever the backpressure
-  /// policy — a saturated or stalled frame queue cannot wedge the control
-  /// plane.
+  /// Enqueues a control command (inline: runs it before returning).
+  /// Commands bypass the capacity bound (PushUnbounded) and are never
+  /// dropped, whatever the backpressure policy — a saturated or stalled
+  /// frame queue cannot wedge the control plane.
   void SubmitCommand(Command cmd);
 
   /// Cheap counter snapshot; safe from any thread at any time.
@@ -266,6 +279,12 @@ class Shard {
   /// Worker loop: pops tasks until the queue is closed and drained.
   void Run();
 
+  /// Runs one task: the body shared by the worker loop and the inline mode.
+  void Execute(Task& t);
+
+  /// Inline mode: executes \p t on the calling thread under inline_mu_.
+  void RunInline(Task t) VCD_EXCLUDES(inline_mu_);
+
   /// Processes one frame task on the worker thread (may perturb the frame
   /// via injected faults, hence mutable).
   void ProcessFrame(Task& t);
@@ -279,9 +298,16 @@ class Shard {
 
   const int shard_id_;
   const core::ParallelConfig config_;
+  /// No worker thread: tasks run on the submitting thread (num_threads 0).
+  const bool inline_;
   BoundedMpscQueue<Task> queue_;
+  /// Inline mode only: serializes task execution across calling threads.
+  /// kInlineShard sits below the control and governor mutexes (held during
+  /// command fan-out) and above kQueue (tasks read the queue gauges).
+  Mutex inline_mu_{LockRank::kInlineShard, "shard.inline"};
 
-  // Worker-thread-owned state (no locking: single consumer).
+  // Worker-thread-owned state (no locking: single consumer; in inline mode
+  // the consumer is whichever caller holds inline_mu_).
   std::map<int, StreamSlot> streams_;
   std::vector<SeqMatch> log_;
   Status first_error_;
@@ -327,7 +353,7 @@ class Shard {
   /// Cached `vcd_shard_*` instruments (never null; see ctor contract).
   obs::ShardMetrics metrics_;
 
-  std::thread worker_;
+  std::thread worker_;  ///< not started in inline mode
 };
 
 }  // namespace vcd::parallel

@@ -3,10 +3,11 @@
 /// interrupted at an arbitrary frame boundary, snapshotted, and resumed on
 /// a fresh engine produces *byte-identical* matches — and bit-identical
 /// detector statistics (RunningStats accumulators included) — to a run that
-/// was never interrupted. Both the serial StreamMonitor and the parallel
-/// StreamExecutor are pinned, and the snapshot round-trips through the full
-/// on-disk codec (EncodeState → EncodeSnapshot → DecodeSnapshot →
-/// DecodeState), not just the in-memory structs.
+/// was never interrupted. The StreamExecutor is pinned inline (0 threads,
+/// the serial engine) and sharded, snapshots cross between the two, and the
+/// snapshot round-trips through the full on-disk codec (EncodeState →
+/// EncodeSnapshot → DecodeSnapshot → DecodeState), not just the in-memory
+/// structs.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include "ckpt/snapshot.h"
 #include "ckpt/state_codec.h"
 #include "core/config.h"
-#include "core/monitor.h"
 #include "core/query_store.h"
 #include "parallel/executor.h"
 #include "util/stats.h"
@@ -30,7 +30,6 @@ namespace {
 using core::DetectorConfig;
 using core::ParallelConfig;
 using core::StreamMatch;
-using core::StreamMonitor;
 using parallel::StreamExecutor;
 
 DetectorConfig SmallConfig() {
@@ -122,14 +121,47 @@ ckpt::SnapshotState ThroughCodec(const ckpt::SnapshotState& state,
   return *back;
 }
 
+/// The executor's snapshot as the checkpointer stores it.
+ckpt::SnapshotState ToState(const DetectorConfig& config,
+                            const parallel::ExecutorCkpt& ec) {
+  ckpt::SnapshotState state;
+  ckpt::StampMeta(config, &state);
+  state.next_stream_id = ec.next_stream_id;
+  state.next_seq = ec.next_seq;
+  state.streams = ec.streams;
+  for (const auto& m : ec.matches) {
+    state.matches.push_back(ckpt::SnapshotMatch{m.seq, m.match});
+  }
+  return state;
+}
+
+/// A decoded snapshot as RestoreCkpt takes it.
+parallel::ExecutorCkpt FromState(const ckpt::SnapshotState& state) {
+  parallel::ExecutorCkpt ec;
+  ec.next_stream_id = state.next_stream_id;
+  ec.next_seq = state.next_seq;
+  ec.streams = state.streams;
+  for (const auto& m : state.matches) {
+    ec.matches.push_back(parallel::SeqMatch{m.seq, m.match});
+  }
+  return ec;
+}
+
+ParallelConfig Threads(int n) {
+  ParallelConfig pc;
+  pc.num_threads = n;
+  return pc;
+}
+
 class RestoreEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RestoreEquivalenceTest, SerialKillRestoreIsByteIdentical) {
   const int cut = GetParam();
   const DetectorConfig config = SmallConfig();
+  const ParallelConfig pc = Threads(0);  // inline: the serial engine
   const auto qframes = QueryFrames();
 
-  auto uninterrupted = StreamMonitor::Create(config).value();
+  auto uninterrupted = StreamExecutor::Create(config, pc).value();
   ASSERT_TRUE(uninterrupted->AddQuery(1, qframes).ok());
   auto sid = uninterrupted->OpenStream("s");
   ASSERT_TRUE(sid.ok());
@@ -144,7 +176,7 @@ TEST_P(RestoreEquivalenceTest, SerialKillRestoreIsByteIdentical) {
   ASSERT_FALSE(matches_a.empty()) << "scenario must actually match";
 
   // Interrupted run: checkpoint at `cut`, crash, restore, resume.
-  auto first = StreamMonitor::Create(config).value();
+  auto first = StreamExecutor::Create(config, pc).value();
   ASSERT_TRUE(first->AddQuery(1, qframes).ok());
   auto sid_b = first->OpenStream("s");
   ASSERT_TRUE(sid_b.ok());
@@ -152,25 +184,15 @@ TEST_P(RestoreEquivalenceTest, SerialKillRestoreIsByteIdentical) {
   for (int i = 0; i < cut; ++i) {
     ASSERT_TRUE(first->ProcessKeyFrame(*sid_b, TinyFrame(i, FillAt(i))).ok());
   }
-  core::MonitorCkpt mc = first->ExportCkpt();
+  auto ec = first->Checkpoint();
+  ASSERT_TRUE(ec.ok()) << ec.status().ToString();
 
   // Through the binary codec, as a real crash-restart would read it.
-  ckpt::SnapshotState state;
-  ckpt::StampMeta(config, &state);
-  state.next_stream_id = mc.next_stream_id;
-  state.streams = mc.streams;
-  for (const StreamMatch& m : mc.matches) {
-    state.matches.push_back(ckpt::SnapshotMatch{0, m});
-  }
-  ckpt::SnapshotState decoded = ThroughCodec(state, 1);
+  const ckpt::SnapshotState decoded = ThroughCodec(ToState(config, *ec), 1);
 
-  auto resumed = StreamMonitor::Create(config).value();
+  auto resumed = StreamExecutor::Create(config, pc).value();
   ASSERT_TRUE(resumed->AddQuery(1, qframes).ok());
-  core::MonitorCkpt mc2;
-  mc2.next_stream_id = decoded.next_stream_id;
-  mc2.streams = decoded.streams;
-  for (const auto& m : decoded.matches) mc2.matches.push_back(m.match);
-  ASSERT_TRUE(resumed->RestoreCkpt(mc2).ok());
+  ASSERT_TRUE(resumed->RestoreCkpt(FromState(decoded)).ok());
   for (int i = cut; i < kTotalFrames; ++i) {
     ASSERT_TRUE(resumed->ProcessKeyFrame(*sid_b, TinyFrame(i, FillAt(i))).ok());
   }
@@ -227,26 +249,11 @@ TEST_P(RestoreEquivalenceTest, ParallelKillRestoreIsByteIdentical) {
   auto ec = first->Checkpoint();
   ASSERT_TRUE(ec.ok()) << ec.status().ToString();
 
-  ckpt::SnapshotState state;
-  ckpt::StampMeta(config, &state);
-  state.next_stream_id = ec->next_stream_id;
-  state.next_seq = ec->next_seq;
-  state.streams = ec->streams;
-  for (const auto& m : ec->matches) {
-    state.matches.push_back(ckpt::SnapshotMatch{m.seq, m.match});
-  }
-  ckpt::SnapshotState decoded = ThroughCodec(state, 1);
+  const ckpt::SnapshotState decoded = ThroughCodec(ToState(config, *ec), 1);
 
   auto resumed = StreamExecutor::Create(config, pc).value();
   ASSERT_TRUE(resumed->AddQuery(1, qframes).ok());
-  parallel::ExecutorCkpt ec2;
-  ec2.next_stream_id = decoded.next_stream_id;
-  ec2.next_seq = decoded.next_seq;
-  ec2.streams = decoded.streams;
-  for (const auto& m : decoded.matches) {
-    ec2.matches.push_back(parallel::SeqMatch{m.seq, m.match});
-  }
-  ASSERT_TRUE(resumed->RestoreCkpt(ec2).ok());
+  ASSERT_TRUE(resumed->RestoreCkpt(FromState(decoded)).ok());
   run_frames(resumed.get(), sids_b, cut, kTotalFrames);
   for (int sid : sids_b) ASSERT_TRUE(resumed->CloseStream(sid).ok());
   ASSERT_TRUE(resumed->Drain().ok());
@@ -254,45 +261,69 @@ TEST_P(RestoreEquivalenceTest, ParallelKillRestoreIsByteIdentical) {
   ExpectSameMatches(matches_a, resumed->matches());
 }
 
+/// Feeds frames [from, to) of the single-stream scenario to \p exec.
+void FeedSingle(StreamExecutor* exec, int sid, int from, int to) {
+  for (int i = from; i < to; ++i) {
+    ASSERT_TRUE(exec->ProcessKeyFrame(sid, TinyFrame(i, FillAt(i))).ok());
+  }
+}
+
 TEST_P(RestoreEquivalenceTest, SerialAndParallelSnapshotsInterchange) {
-  // Engine-agnostic codec: a snapshot taken by the serial monitor restores
-  // onto the parallel executor (and produces the same continuation), since
-  // both write the same STREAMS section.
+  // The snapshot carries no shard layout: one taken inline restores onto a
+  // 2-thread executor (and produces the same continuation).
   const int cut = GetParam();
   const DetectorConfig config = SmallConfig();
   const auto qframes = QueryFrames();
 
-  auto serial = StreamMonitor::Create(config).value();
+  auto serial = StreamExecutor::Create(config, Threads(0)).value();
   ASSERT_TRUE(serial->AddQuery(1, qframes).ok());
   auto sid = serial->OpenStream("s");
   ASSERT_TRUE(sid.ok());
-  for (int i = 0; i < cut; ++i) {
-    ASSERT_TRUE(serial->ProcessKeyFrame(*sid, TinyFrame(i, FillAt(i))).ok());
-  }
-  core::MonitorCkpt mc = serial->ExportCkpt();
-  // Reference continuation on the serial engine itself.
-  for (int i = cut; i < kTotalFrames; ++i) {
-    ASSERT_TRUE(serial->ProcessKeyFrame(*sid, TinyFrame(i, FillAt(i))).ok());
-  }
+  FeedSingle(serial.get(), *sid, 0, cut);
+  auto ec = serial->Checkpoint();
+  ASSERT_TRUE(ec.ok()) << ec.status().ToString();
+  // Reference continuation on the inline engine itself.
+  FeedSingle(serial.get(), *sid, cut, kTotalFrames);
   ASSERT_TRUE(serial->CloseStream(*sid).ok());
 
-  ParallelConfig pc;
-  pc.num_threads = 2;
-  auto exec = StreamExecutor::Create(config, pc).value();
+  auto exec = StreamExecutor::Create(config, Threads(2)).value();
   ASSERT_TRUE(exec->AddQuery(1, qframes).ok());
-  parallel::ExecutorCkpt ec;
-  ec.next_stream_id = mc.next_stream_id;
-  ec.streams = mc.streams;
-  for (const StreamMatch& m : mc.matches) {
-    ec.matches.push_back(parallel::SeqMatch{0, m});
-  }
-  ASSERT_TRUE(exec->RestoreCkpt(ec).ok());
-  for (int i = cut; i < kTotalFrames; ++i) {
-    ASSERT_TRUE(exec->ProcessKeyFrame(*sid, TinyFrame(i, FillAt(i))).ok());
-  }
+  ASSERT_TRUE(exec->RestoreCkpt(*ec).ok());
+  FeedSingle(exec.get(), *sid, cut, kTotalFrames);
   ASSERT_TRUE(exec->CloseStream(*sid).ok());
   ASSERT_TRUE(exec->Drain().ok());
   ExpectSameMatches(serial->matches(), exec->matches());
+}
+
+TEST_P(RestoreEquivalenceTest, LegacySerialSnapshotsStillRestore) {
+  // Snapshots written before serial monitoring became the executor's inline
+  // mode tag every match with seq 0 and record next_seq 1. The VCK1 format
+  // is unchanged, so such a snapshot restores inline and continues exactly
+  // like the run that wrote it.
+  const int cut = GetParam();
+  const DetectorConfig config = SmallConfig();
+  const auto qframes = QueryFrames();
+
+  auto writer = StreamExecutor::Create(config, Threads(0)).value();
+  ASSERT_TRUE(writer->AddQuery(1, qframes).ok());
+  auto sid = writer->OpenStream("s");
+  ASSERT_TRUE(sid.ok());
+  FeedSingle(writer.get(), *sid, 0, cut);
+  auto ec = writer->Checkpoint();
+  ASSERT_TRUE(ec.ok()) << ec.status().ToString();
+  FeedSingle(writer.get(), *sid, cut, kTotalFrames);
+  ASSERT_TRUE(writer->CloseStream(*sid).ok());
+
+  ckpt::SnapshotState legacy = ToState(config, *ec);
+  legacy.next_seq = 1;
+  for (ckpt::SnapshotMatch& m : legacy.matches) m.seq = 0;
+
+  auto resumed = StreamExecutor::Create(config, Threads(0)).value();
+  ASSERT_TRUE(resumed->AddQuery(1, qframes).ok());
+  ASSERT_TRUE(resumed->RestoreCkpt(FromState(ThroughCodec(legacy, 1))).ok());
+  FeedSingle(resumed.get(), *sid, cut, kTotalFrames);
+  ASSERT_TRUE(resumed->CloseStream(*sid).ok());
+  ExpectSameMatches(writer->matches(), resumed->matches());
 }
 
 // Cut points: before the copy, mid-copy (candidates live), right at the

@@ -40,6 +40,22 @@ TEST(DetectorConfigTest, RejectsBadValues) {
   EXPECT_FALSE(c.Validate().ok());
 }
 
+TEST(ParallelConfigTest, ThreadCountIsBounded) {
+  ParallelConfig pc;
+  EXPECT_EQ(pc.num_threads, 0);  // inline mode by default
+  EXPECT_TRUE(pc.Validate().ok());
+  pc.num_threads = kMaxThreads;
+  EXPECT_TRUE(pc.Validate().ok());
+  // Validate is a pure range check, so the out-of-range values below start
+  // no thread; StreamExecutor::Create runs it before building any shard.
+  pc.num_threads = kMaxThreads + 1;
+  EXPECT_EQ(pc.Validate().code(), StatusCode::kInvalidArgument);
+  pc.num_threads = 100000;
+  EXPECT_EQ(pc.Validate().code(), StatusCode::kInvalidArgument);
+  pc.num_threads = -1;
+  EXPECT_EQ(pc.Validate().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DetectorConfigTest, Names) {
   EXPECT_STREQ(RepresentationName(Representation::kSketch), "Sketch");
   EXPECT_STREQ(RepresentationName(Representation::kBit), "Bit");

@@ -1,18 +1,22 @@
 /// \file equivalence_test.cc
-/// The determinism contract of the parallel executor: an identical
-/// submission schedule fed through the serial `StreamMonitor` and through
-/// `parallel::StreamExecutor` at every thread count must produce
-/// byte-identical per-stream match sequences, an identical global
-/// arrival-order match log, and identical per-stream detector stats.
+/// The determinism contract of the stream executor: an identical submission
+/// schedule fed through a per-stream `CopyDetector` oracle (no executor code
+/// at all) and through `parallel::StreamExecutor` at every thread count —
+/// the inline 0-thread mode included — must produce byte-identical
+/// per-stream match sequences, an identical global arrival-order match log,
+/// and identical per-stream detector stats.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/detector.h"
 #include "core/monitor.h"
 #include "parallel/executor.h"
 #include "util/rng.h"
@@ -23,7 +27,6 @@ namespace {
 using core::DetectorConfig;
 using core::DetectorStats;
 using core::StreamMatch;
-using core::StreamMonitor;
 using parallel::StreamExecutor;
 
 DetectorConfig SmallConfig() {
@@ -65,6 +68,97 @@ sketch::Sketch RandomSketch(const DetectorConfig& c, uint64_t seed) {
   sketch::Sketcher sk(&fam);
   return sk.FromSequence(ids);
 }
+
+/// The serial oracle: one CopyDetector per stream, fed directly, with the
+/// query portfolio fanned out by hand. Matches are logged in arrival order:
+/// a frame's matches when it is processed, a stream's trailing matches when
+/// it closes.
+class DetectorOracle {
+ public:
+  explicit DetectorOracle(const DetectorConfig& config) : config_(config) {}
+
+  Result<int> OpenStream(std::string name) {
+    auto det = core::CopyDetector::Create(config_);
+    if (!det.ok()) return det.status();
+    for (const Query& q : portfolio_) {
+      VCD_RETURN_IF_ERROR((*det)->AddQuerySketch(q.id, q.sketch, q.length_frames,
+                                                 q.duration_seconds));
+    }
+    const int id = next_id_++;
+    streams_[id] = Stream{std::move(name), std::move(*det), 0};
+    return id;
+  }
+
+  Status AddQuerySketch(int id, const sketch::Sketch& sk, int length_frames,
+                        double duration_seconds) {
+    for (auto& [sid, s] : streams_) {
+      VCD_RETURN_IF_ERROR(
+          s.detector->AddQuerySketch(id, sk, length_frames, duration_seconds));
+    }
+    portfolio_.push_back(Query{id, length_frames, duration_seconds, sk});
+    return Status::OK();
+  }
+
+  Status AddQuery(int id, const std::vector<video::DcFrame>& key_frames,
+                  double duration_seconds) {
+    auto q = core::PrepareQuery(config_, key_frames, duration_seconds);
+    if (!q.ok()) return q.status();
+    return AddQuerySketch(id, q->sketch, q->length_frames, q->duration_seconds);
+  }
+
+  Status RemoveQuery(int id) {
+    std::erase_if(portfolio_, [id](const Query& q) { return q.id == id; });
+    for (auto& [sid, s] : streams_) VCD_RETURN_IF_ERROR(s.detector->RemoveQuery(id));
+    return Status::OK();
+  }
+
+  Status ProcessKeyFrame(int id, const video::DcFrame& frame) {
+    Stream& s = streams_.at(id);
+    VCD_RETURN_IF_ERROR(s.detector->ProcessKeyFrame(frame));
+    LogNewMatches(id, &s);
+    return Status::OK();
+  }
+
+  Status CloseStream(int id) {
+    Stream& s = streams_.at(id);
+    VCD_RETURN_IF_ERROR(s.detector->Finish());
+    LogNewMatches(id, &s);
+    streams_.erase(id);
+    return Status::OK();
+  }
+
+  Result<DetectorStats> StreamStats(int id) const {
+    return streams_.at(id).detector->stats();
+  }
+
+  const std::vector<StreamMatch>& matches() const { return log_; }
+
+ private:
+  struct Query {
+    int id;
+    int length_frames;
+    double duration_seconds;
+    sketch::Sketch sketch;  // NOLINT(vcd-pooled-hotpath): per-query, cold
+  };
+  struct Stream {
+    std::string name;
+    std::unique_ptr<core::CopyDetector> detector;
+    size_t logged = 0;
+  };
+
+  void LogNewMatches(int id, Stream* s) {
+    const auto& ms = s->detector->matches();
+    for (; s->logged < ms.size(); ++s->logged) {
+      log_.push_back(StreamMatch{id, s->name, ms[s->logged]});
+    }
+  }
+
+  DetectorConfig config_;
+  std::vector<Query> portfolio_;
+  std::map<int, Stream> streams_;
+  int next_id_ = 1;
+  std::vector<StreamMatch> log_;
+};
 
 /// Byte-exact encoding of one attributed match (doubles bit-compared).
 std::string MatchKey(const StreamMatch& m) {
@@ -114,8 +208,8 @@ struct RunLog {
 
 /// Drives one fixed schedule against either API. `Api` must provide
 /// OpenStream/AddQuery/AddQuerySketch/RemoveQuery/ProcessKeyFrame/
-/// CloseStream/StreamStats/matches with monitor-compatible signatures;
-/// `drain` is a no-op for the serial monitor.
+/// CloseStream/StreamStats/matches with executor-compatible signatures;
+/// `drain` is a no-op for the oracle.
 template <typename Api, typename DrainFn>
 RunLog RunSchedule(Api& api, DrainFn drain) {
   const DetectorConfig config = SmallConfig();
@@ -174,15 +268,12 @@ RunLog RunSchedule(Api& api, DrainFn drain) {
   return log;
 }
 
-RunLog SerialRun() {
-  auto mon = StreamMonitor::Create(SmallConfig()).value();
-  return RunSchedule(*mon, [] {});
+RunLog SerialRunWith(const DetectorConfig& config) {
+  DetectorOracle oracle(config);
+  return RunSchedule(oracle, [] {});
 }
 
-RunLog SerialRunWith(const DetectorConfig& config) {
-  auto mon = StreamMonitor::Create(config).value();
-  return RunSchedule(*mon, [] {});
-}
+RunLog SerialRun() { return SerialRunWith(SmallConfig()); }
 
 RunLog ParallelRun(int threads) {
   core::ParallelConfig pc;
@@ -214,7 +305,7 @@ TEST_P(EquivalenceTest, ParallelMatchesSerialByteExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, EquivalenceTest,
-                         ::testing::Values(1, 2, 4, 8));
+                         ::testing::Values(0, 1, 2, 4, 8));
 
 /// The pooled hot path must be byte-equivalent to the scalar reference under
 /// the full multi-stream schedule (including mid-schedule portfolio churn),

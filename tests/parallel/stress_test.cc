@@ -267,9 +267,9 @@ TEST(StressTest, NoUseAfterClose) {
 
 /// Pure API hammering from several threads at once — primarily a TSan
 /// target; asserts only invariants that hold under any interleaving.
-TEST(StressTest, ConcurrentControlPlaneHammer) {
+void HammerControlPlane(int threads) {
   ParallelConfig pc;
-  pc.num_threads = 3;
+  pc.num_threads = threads;
   pc.queue_capacity = 8;
   auto exec = StreamExecutor::Create(SmallConfig(), pc).value();
   const DetectorConfig config = SmallConfig();
@@ -305,6 +305,13 @@ TEST(StressTest, ConcurrentControlPlaneHammer) {
   EXPECT_EQ(stats.frames_dropped_backpressure, 0);  // kBlock default
   EXPECT_EQ(SumRejected(stats), 0);    // each thread closes only its own stream
 }
+
+TEST(StressTest, ConcurrentControlPlaneHammer) { HammerControlPlane(3); }
+
+/// The inline engine keeps every entry point safe from any thread: callers
+/// run frames and commands themselves, serialized on the shard's inline
+/// mutex.
+TEST(StressTest, ConcurrentControlPlaneHammerInline) { HammerControlPlane(0); }
 
 TEST(BoundedMpscQueueTest, PushUnboundedBypassesCapacity) {
   BoundedMpscQueue<int> q(2);

@@ -2,9 +2,10 @@
 # Crash-recovery contract of `vcdctl monitor --checkpoint-dir` (DESIGN.md
 # §16): SIGKILL the monitor at randomized (but seeded) points mid-ingest,
 # restart with --restore, and require the resumed run's match output to be
-# byte-identical to an uninterrupted run. Also pins the graceful-drain path:
-# SIGTERM stops intake, takes a final checkpoint, and exits 0; a restore
-# then completes the job with identical matches.
+# byte-identical to an uninterrupted run, on the default inline engine and
+# on a --threads 2 executor over two streams. Also pins the graceful-drain
+# path: SIGTERM stops intake, takes a final checkpoint, and exits 0; a
+# restore then completes the job with identical matches.
 #
 # Usage: crash_recovery_test.sh <path-to-vcdctl> [seed]
 set -u
@@ -149,8 +150,62 @@ else
   FAILED=1
 fi
 
+# --- threaded driver: two streams, cycle-top checkpoints, SIGKILL ---------
+# The rounds above run the default inline engine over one file. Here two
+# files are fed round-robin to a --threads 2 executor, whose checkpoints are
+# taken at the top of a round-robin cycle; a restored run must repeat the
+# uninterrupted interleaving exactly.
+"$VCDCTL" generate --out="$WORK/clip2.y4m" --seconds=10 --seed=9 \
+  --w=176 --h=144 >/dev/null || { echo "FAIL: generate (2nd stream)"; exit 1; }
+"$VCDCTL" encode "$WORK/clip2.y4m" "$WORK/stream2.vcds" >/dev/null \
+  || { echo "FAIL: encode (2nd stream)"; exit 1; }
+"$VCDCTL" build-queries "$WORK/q2.vcdq" 1="$WORK/stream.vcds" \
+  2="$WORK/stream2.vcds" --k=128 >/dev/null \
+  || { echo "FAIL: build-queries (2 streams)"; exit 1; }
+TWO=("$WORK/q2.vcdq" "$WORK/stream.vcds" "$WORK/stream2.vcds")
+"$VCDCTL" monitor "${TWO[@]}" --threads=2 > "$WORK/ref2.out" \
+  || { echo "FAIL: threaded reference run"; exit 1; }
+grep '^MATCH' "$WORK/ref2.out" > "$WORK/ref2.matches"
+if [ "$(grep -c '^MATCH' "$WORK/ref2.out")" -lt 2 ]; then
+  echo "FAIL: threaded reference run should match both streams"
+  FAILED=1
+fi
+"$VCDCTL" monitor "${TWO[@]}" > "$WORK/ref2-inline.out" \
+  || { echo "FAIL: inline two-stream reference run"; exit 1; }
+if ! diff -u "$WORK/ref2.matches" <(grep '^MATCH' "$WORK/ref2-inline.out"); then
+  echo "FAIL: inline and --threads 2 runs print different matches"
+  FAILED=1
+fi
+for round in 1 2; do
+  DIR="$WORK/ckpt-threaded-$round"
+  "$VCDCTL" monitor "${TWO[@]}" --threads=2 --checkpoint-dir="$DIR" \
+    --checkpoint-interval-ms=30 --throttle-ms=15 > /dev/null 2>&1 &
+  PID=$!
+  DELAY_MS=$(( 80 + $(next_rand 300) ))
+  sleep "$(awk "BEGIN{print $DELAY_MS/1000}")"
+  kill -9 "$PID" 2>/dev/null
+  wait "$PID" 2>/dev/null
+  RC=$?
+  if [ $RC -ne 137 ]; then
+    echo "note: threaded round $round: monitor finished before SIGKILL (rc=$RC)"
+  fi
+  OUT="$WORK/threaded-resumed-$round.out"
+  "$VCDCTL" monitor "${TWO[@]}" --threads=2 --checkpoint-dir="$DIR" \
+    --restore > "$OUT" \
+    || { echo "FAIL: threaded round $round: --restore run failed"; FAILED=1; continue; }
+  if ! grep -q '^restored checkpoint epoch' "$OUT"; then
+    echo "FAIL: threaded round $round: restore did not report a loaded snapshot"
+    FAILED=1
+  fi
+  if ! diff -u "$WORK/ref2.matches" <(grep '^MATCH' "$OUT"); then
+    echo "FAIL: threaded round $round (kill after ${DELAY_MS}ms, seed $SEED):" \
+         "resumed matches differ from the uninterrupted run"
+    FAILED=1
+  fi
+done
+
 if [ $FAILED -ne 0 ]; then
   exit 1
 fi
-echo "OK: kill-restore equivalence, graceful drain and torn-snapshot fallback hold (seed $SEED)"
+echo "OK: kill-restore equivalence (inline and --threads 2), graceful drain and torn-snapshot fallback hold (seed $SEED)"
 exit 0

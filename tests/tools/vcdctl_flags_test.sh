@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Pins vcdctl monitor's flag validation: malformed --threads/--queue/
-# --backpressure/--on-corruption/--watchdog-ms/--push-deadline-ms/--qos*
-# values must exit 2 with a usage message BEFORE any file
-# I/O happens — the query-db path below does not exist, so reaching the
-# loader would fail with a different error and no usage line.
+# Pins vcdctl monitor's flag validation: malformed or out-of-range
+# --threads/--queue/--backpressure/--on-corruption/--watchdog-ms/
+# --push-deadline-ms/--qos* values must exit 2 with a usage message BEFORE
+# any file I/O happens — the query-db path below does not exist, so reaching
+# the loader would fail with a different error and no usage line.
 #
 # Usage: vcdctl_flags_test.sh <path-to-vcdctl>
 set -u
@@ -33,6 +33,14 @@ NO_SUCH_STREAM="/nonexistent/stream.vcds"
 
 expect_flag_error "negative --threads" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=-1
+# --threads is capped at 256 (core::kMaxThreads): anything above it is a
+# usage error raised before any file I/O, so no worker thread is started.
+expect_flag_error "--threads above the cap" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=257
+expect_flag_error "huge --threads" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=100000
+expect_flag_error "--threads beyond the int range" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=1e12
 expect_flag_error "zero --queue" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --queue=0
 expect_flag_error "negative --queue" \
@@ -100,6 +108,20 @@ if [ $rc -eq 0 ] || [ $rc -eq 2 ]; then
 fi
 if echo "$err" | grep -q "usage: vcdctl monitor"; then
   echo "FAIL: --kernel=scalar + missing db printed the usage message"
+  FAILED=1
+fi
+
+# --threads at the cap must get PAST validation: loader failure (before the
+# executor, and so any thread, exists), no usage line.
+err=$("$VCDCTL" monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=256 \
+  2>&1 >/dev/null)
+rc=$?
+if [ $rc -eq 0 ] || [ $rc -eq 2 ]; then
+  echo "FAIL: --threads=256 + missing db: expected loader failure, got rc=$rc"
+  FAILED=1
+fi
+if echo "$err" | grep -q "usage: vcdctl monitor"; then
+  echo "FAIL: --threads=256 + missing db printed the usage message"
   FAILED=1
 fi
 

@@ -5,7 +5,10 @@
 #   - a bad --format exits 2 with the metrics usage line;
 #   - `vcdctl monitor` validates --metrics-interval-ms (and its dependency
 #     on --metrics-out) BEFORE any file I/O, exit 2 + usage, matching the
-#     contract vcdctl_flags_test.sh pins for the other monitor flags.
+#     contract vcdctl_flags_test.sh pins for the other monitor flags;
+#   - the default (inline, no --threads) monitor publishes the whole
+#     pipeline to --metrics-out: detector and shard series, not only the
+#     decoder's.
 #
 # Usage: vcdctl_metrics_test.sh <path-to-vcdctl>
 set -u
@@ -96,6 +99,33 @@ if [ $rc -eq 0 ] || [ $rc -eq 2 ]; then
 fi
 if echo "$err" | grep -q "usage: vcdctl monitor"; then
   echo "FAIL: valid metrics flags + missing db printed the usage message"
+  FAILED=1
+fi
+
+# --- default-path monitor publishes the whole pipeline --------------------
+
+WORK=$(mktemp -d /tmp/vcd_metrics_XXXXXX)
+trap 'rm -rf "$WORK"' EXIT
+if "$VCDCTL" generate --out="$WORK/clip.y4m" --seconds=8 --seed=7 \
+     --w=96 --h=64 >/dev/null &&
+   "$VCDCTL" encode "$WORK/clip.y4m" "$WORK/clip.vcds" >/dev/null &&
+   "$VCDCTL" build-queries "$WORK/q.vcdq" 1="$WORK/clip.vcds" --k=64 \
+     >/dev/null; then
+  if ! "$VCDCTL" monitor "$WORK/q.vcdq" "$WORK/clip.vcds" \
+       --metrics-out="$WORK/m.json" >/dev/null; then
+    echo "FAIL: default-path monitor with --metrics-out failed"
+    FAILED=1
+  fi
+  for series in vcd_detector_windows_total vcd_shard_frames_processed_total \
+                vcd_shard_frames_degraded_total vcd_shard_queue_depth \
+                vcd_shard_stream_lag_us; do
+    if ! grep -q "\"$series\"" "$WORK/m.json" 2>/dev/null; then
+      echo "FAIL: default-path --metrics-out lacks $series"
+      FAILED=1
+    fi
+  done
+else
+  echo "FAIL: fixture generation for the default-path metrics check"
   FAILED=1
 fi
 
