@@ -2,7 +2,8 @@
 /// Micro-benchmarks of the primitive costs the paper's Eq. 4 is built from:
 /// C_comp and C_comb for the raw-sketch and bit-signature representations,
 /// min-hash sketching of a basic window, and the Hash-Query index probe.
-/// Also benches the Lemma-2 pruning ablation at the detector level.
+/// Also benches the Lemma-2 pruning ablation at the detector level, and the
+/// partial decoder's entropy layer (one Exp-Golomb code, one key frame).
 
 #include <benchmark/benchmark.h>
 
@@ -13,12 +14,18 @@
 #include "core/detector.h"
 #include "util/logging.h"
 #include "index/hash_query_index.h"
+#include "obs/metrics.h"
 #include "sketch/bit_signature.h"
 #include "sketch/kernels/kernels.h"
 #include "sketch/minhash.h"
 #include "sketch/signature_pool.h"
 #include "util/mutex.h"
 #include "util/rng.h"
+#include "video/bitstream.h"
+#include "video/codec.h"
+#include "video/partial_decoder.h"
+#include "video/scene_model.h"
+#include "video/synthetic.h"
 
 namespace {
 
@@ -350,6 +357,59 @@ void BM_DetectorPruning(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectorPruning)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// --- partial decoder -------------------------------------------------------
+
+/// One Exp-Golomb code: a buffer of quantized-AC-like values (mostly small,
+/// a long tail) decoded end to end per iteration; items/s counts codes.
+void BM_ReadUE(benchmark::State& state) {
+  constexpr int kCodes = 4096;
+  Rng rng(11);
+  video::BitWriter w;
+  for (int i = 0; i < kCodes; ++i) {
+    w.WriteUE(static_cast<uint32_t>(rng.Uniform(uint64_t{1} << rng.Uniform(12))));
+  }
+  const std::vector<uint8_t> bytes = w.Finish();
+  for (auto _ : state) {
+    video::BitReader r(bytes.data(), bytes.size());
+    uint32_t sum = 0;
+    for (int i = 0; i < kCodes; ++i) {
+      uint32_t v = 0;
+      VCD_CHECK(r.ReadUE(&v).ok(), "ReadUE");
+      sum += v;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kCodes);
+}
+BENCHMARK(BM_ReadUE);
+
+/// DC extraction from one encoded 352x240 key frame (rendered scene content
+/// with sensor noise, quantizer 4 — the codec defaults); bytes/s counts the
+/// encoded stream. Arg 1 attaches a metrics registry, so the difference to
+/// Arg 0 is the cost of the vcd_decode_frame_ns span.
+void BM_PartialDecodeKeyFrame(benchmark::State& state) {
+  obs::MetricsRegistry registry;
+  const video::SceneModel model = video::SceneModel::Generate(5, 10.0);
+  video::RenderOptions ro;
+  ro.noise_sigma = 2.0;
+  auto clip = video::RenderVideo(model, 3.0, 1.0 / ro.fps, ro);
+  VCD_CHECK(clip.ok(), "render");
+  video::CodecParams p;
+  p.fps = ro.fps;
+  auto bytes = video::Encoder::EncodeVideo(*clip, p);
+  VCD_CHECK(bytes.ok(), "encode");
+  video::PartialDecoder pd;
+  if (state.range(0) != 0) pd.set_metrics(&registry);
+  video::DcFrame frame;
+  for (auto _ : state) {
+    VCD_CHECK(pd.Open(bytes->data(), bytes->size()).ok(), "open");
+    VCD_CHECK(pd.NextKeyFrame(&frame).ok(), "decode");
+    benchmark::DoNotOptimize(frame.dc.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes->size()));
+}
+BENCHMARK(BM_PartialDecodeKeyFrame)->Arg(0)->Arg(1);
 
 // Uncontended lock/unlock: raw std::mutex baseline vs the annotated, ranked
 // vcd::Mutex. In release builds VCD_DEADLOCK_CHECK compiles the held-stack

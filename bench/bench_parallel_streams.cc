@@ -16,9 +16,11 @@
 /// (content generation is excluded from the timed region), so the table
 /// isolates executor scaling. The inline row runs every frame on the feeding
 /// thread and is the serial baseline; speedup is relative to it, so the
-/// 1-thread row's shortfall is the cost of handing frames to a worker. Every
-/// row must report the inline row's match count; a divergence fails the
-/// run (exit 1).
+/// 1-thread row's shortfall is the cost of handing frames to a worker. Each
+/// row is timed kRepeats times, interleaved (every row once per round), and
+/// reports the median with the min and max frames/sec, since a single run
+/// swings by more than the handoff cost. Every run must report the inline
+/// row's match count; a divergence fails the run (exit 1).
 
 #include <algorithm>
 #include <cmath>
@@ -37,6 +39,9 @@
 using namespace vcd;
 
 namespace {
+
+/// Timed runs per row (not a flag: rows are comparable across invocations).
+constexpr int kRepeats = 5;
 
 struct Options {
   int streams = 8;
@@ -200,9 +205,26 @@ int main(int argc, char** argv) {
   const auto queries = BuildQuerySketches(o, config);
   const double total_frames = static_cast<double>(o.streams) * o.frames;
 
-  TablePrinter table({"executor", "threads", "seconds", "frames/sec", "speedup",
-                      "matches", "busy s", "q high-water"});
+  // rows[0] is the inline engine; runs[r][i] is row r's i-th timed run.
+  std::vector<int> rows = {0};
+  rows.insert(rows.end(), o.threads.begin(), o.threads.end());
+  std::vector<std::vector<RunResult>> runs(rows.size());
+  bool diverged = false;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      runs[r].push_back(Feed(rows[r], config, o, streams, queries));
+      const size_t got = runs[r].back().matches, want = runs[0].front().matches;
+      if (got != want) {
+        std::fprintf(stderr,
+                     "ERROR: %d threads: match count diverged (%zu vs inline %zu)\n",
+                     rows[r], got, want);
+        diverged = true;
+      }
+    }
+  }
 
+  TablePrinter table({"executor", "threads", "seconds", "frames/sec", "min", "max",
+                      "speedup", "matches", "busy s", "q high-water"});
   using bench::BenchJsonWriter;
   BenchJsonWriter json("parallel_streams");
   json.AddMeta("streams", BenchJsonWriter::Num(int64_t{o.streams}));
@@ -210,40 +232,46 @@ int main(int argc, char** argv) {
   json.AddMeta("k", BenchJsonWriter::Num(int64_t{o.k}));
   json.AddMeta("queries", BenchJsonWriter::Num(int64_t{o.queries}));
   json.AddMeta("seed", BenchJsonWriter::Num(static_cast<int64_t>(o.seed)));
+  json.AddMeta("repeats", BenchJsonWriter::Num(int64_t{kRepeats}));
 
-  const RunResult inline_run = Feed(0, config, o, streams, queries);
-  const double base_fps = total_frames / inline_run.seconds;
-  const auto add_row = [&](const char* executor, int threads, const RunResult& r) {
-    const double fps = total_frames / r.seconds;
+  // Medians over the row's runs (kRepeats is odd: the middle element).
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  double base_fps = 0.0;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::vector<double> fps, seconds, busy;
+    size_t high_water = 0;
+    for (const RunResult& run : runs[r]) {
+      fps.push_back(total_frames / run.seconds);
+      seconds.push_back(run.seconds);
+      busy.push_back(run.busy_seconds);
+      high_water = std::max(high_water, run.queue_high_water);
+    }
+    const double fps_med = median(fps);
+    const double fps_min = *std::min_element(fps.begin(), fps.end());
+    const double fps_max = *std::max_element(fps.begin(), fps.end());
+    if (r == 0) base_fps = fps_med;
+    const char* executor = r == 0 ? "inline" : "sharded";
     char speedup[32];
-    std::snprintf(speedup, sizeof speedup, "%.2fx", fps / base_fps);
-    table.AddRow({executor, std::to_string(threads), TablePrinter::Fmt(r.seconds),
-                  TablePrinter::Fmt(fps, 0), speedup, std::to_string(r.matches),
-                  TablePrinter::Fmt(r.busy_seconds),
-                  std::to_string(r.queue_high_water)});
+    std::snprintf(speedup, sizeof speedup, "%.2fx", fps_med / base_fps);
+    table.AddRow({executor, std::to_string(rows[r]), TablePrinter::Fmt(median(seconds)),
+                  TablePrinter::Fmt(fps_med, 0), TablePrinter::Fmt(fps_min, 0),
+                  TablePrinter::Fmt(fps_max, 0), speedup,
+                  std::to_string(runs[r].front().matches), TablePrinter::Fmt(median(busy)),
+                  std::to_string(high_water)});
     json.AddRow(
         {{"executor", BenchJsonWriter::Str(executor)},
-         {"threads", BenchJsonWriter::Num(int64_t{threads})},
-         {"seconds", BenchJsonWriter::Num(r.seconds)},
-         {"fps", BenchJsonWriter::Num(fps)},
-         {"speedup", BenchJsonWriter::Num(fps / base_fps)},
-         {"matches", BenchJsonWriter::Num(static_cast<int64_t>(r.matches))},
-         {"busy_seconds", BenchJsonWriter::Num(r.busy_seconds)},
-         {"queue_high_water",
-          BenchJsonWriter::Num(static_cast<int64_t>(r.queue_high_water))}});
-  };
-
-  add_row("inline", 0, inline_run);
-  bool diverged = false;
-  for (int threads : o.threads) {
-    const RunResult r = Feed(threads, config, o, streams, queries);
-    if (r.matches != inline_run.matches) {
-      std::fprintf(stderr,
-                   "ERROR: %d threads: match count diverged (%zu vs inline %zu)\n",
-                   threads, r.matches, inline_run.matches);
-      diverged = true;
-    }
-    add_row("sharded", threads, r);
+         {"threads", BenchJsonWriter::Num(int64_t{rows[r]})},
+         {"seconds", BenchJsonWriter::Num(median(seconds))},
+         {"fps", BenchJsonWriter::Num(fps_med)},
+         {"fps_min", BenchJsonWriter::Num(fps_min)},
+         {"fps_max", BenchJsonWriter::Num(fps_max)},
+         {"speedup", BenchJsonWriter::Num(fps_med / base_fps)},
+         {"matches", BenchJsonWriter::Num(static_cast<int64_t>(runs[r].front().matches))},
+         {"busy_seconds", BenchJsonWriter::Num(median(busy))},
+         {"queue_high_water", BenchJsonWriter::Num(static_cast<int64_t>(high_water))}});
   }
   table.Print();
   if (!o.json_path.empty()) {

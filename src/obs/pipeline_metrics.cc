@@ -25,6 +25,8 @@ DecoderMetrics DecoderMetrics::Create(MetricsRegistry* registry) {
       "Frames emitted in degraded mode after corruption");
   m.resync_latency_ns = registry->RegisterHistogram(
       "vcd_decoder_resync_latency_ns", "Latency of one resync scan");
+  m.decode_frame_ns = registry->RegisterHistogram(
+      "vcd_decode_frame_ns", "Latency of one key frame's DC extraction");
   return m;
 }
 

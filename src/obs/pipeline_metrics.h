@@ -29,6 +29,7 @@ struct DecoderMetrics {
   Counter* bytes_skipped_total = nullptr;
   Counter* degraded_frames_total = nullptr;
   Histogram* resync_latency_ns = nullptr;
+  Histogram* decode_frame_ns = nullptr;  ///< one key frame's DC extraction
 
   static DecoderMetrics Create(MetricsRegistry* registry);
 };

@@ -38,22 +38,9 @@ std::vector<uint8_t> BitWriter::Finish() {
   return std::move(bytes_);
 }
 
-Status BitReader::ReadBits(int nbits, uint32_t* value) {
-  if (bit_pos_ + static_cast<size_t>(nbits) > size_ * 8) {
-    return Status::Corruption("bit stream exhausted");
-  }
-  uint32_t v = 0;
-  for (int i = 0; i < nbits; ++i) {
-    size_t byte = bit_pos_ >> 3;
-    int off = static_cast<int>(bit_pos_ & 7);
-    v = (v << 1) | ((data_[byte] >> (7 - off)) & 1);
-    ++bit_pos_;
-  }
-  *value = v;
-  return Status::OK();
-}
+Status BitReader::Exhausted() { return Status::Corruption("bit stream exhausted"); }
 
-Status BitReader::ReadUE(uint32_t* value) {
+Status BitReader::ReadUESlow(uint32_t* value) {
   int zeros = 0;
   uint32_t bit = 0;
   for (;;) {
@@ -68,19 +55,6 @@ Status BitReader::ReadUE(uint32_t* value) {
   *value = ((uint32_t{1} << zeros) | rest) - 1;
   return Status::OK();
 }
-
-Status BitReader::ReadSE(int32_t* value) {
-  uint32_t mapped = 0;
-  VCD_RETURN_IF_ERROR(ReadUE(&mapped));
-  if (mapped % 2 == 0) {
-    *value = -static_cast<int32_t>(mapped / 2);
-  } else {
-    *value = static_cast<int32_t>((mapped + 1) / 2);
-  }
-  return Status::OK();
-}
-
-void BitReader::AlignToByte() { bit_pos_ = (bit_pos_ + 7) & ~size_t{7}; }
 
 Status BitReader::SeekToBit(size_t pos) {
   if (pos > size_ * 8) return Status::OutOfRange("seek past end of bit stream");

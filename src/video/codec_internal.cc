@@ -42,46 +42,55 @@ void WriteBlock(const std::array<int32_t, 64>& qcoef, int32_t* prev_dc, BitWrite
   bw->WriteUE(kEob);
 }
 
-Status ReadBlock(BitReader* br, int32_t* prev_dc, std::array<int32_t, 64>* qcoef) {
-  qcoef->fill(0);
+namespace {
+
+/// One block's entropy walk, shared by ReadBlock (\p coef = the block) and
+/// ReadBlockDcOnly (\p coef = nullptr, the AC pairs are skimmed) so the two
+/// readers cannot diverge. Each (run, level) pair is decoded from one
+/// BitReader window without building a Status; a code the window cannot
+/// decode is re-read through the reader's Status path, which then gives the
+/// value or the exact error. The zig-zag map is applied inline.
+Status WalkBlock(BitReader* br, int32_t* prev_dc, int32_t* dc, int32_t* coef) {
   int32_t diff = 0;
-  VCD_RETURN_IF_ERROR(br->ReadSE(&diff));
-  *prev_dc += diff;
-  (*qcoef)[0] = *prev_dc;
-  int k = 1;
-  for (;;) {
+  if (!br->TryReadSE(&diff)) VCD_RETURN_IF_ERROR(br->ReadSE(&diff));
+  // Wrapping add: a hostile stream's DPCM sum may leave the int32 range.
+  *prev_dc = static_cast<int32_t>(static_cast<uint32_t>(*prev_dc) +
+                                  static_cast<uint32_t>(diff));
+  *dc = *prev_dc;
+  for (int k = 1;;) {
+    const uint64_t window = br->Peek64();
+    const int avail = br->FastBits();
     uint32_t run = 0;
-    VCD_RETURN_IF_ERROR(br->ReadUE(&run));
-    if (run == kEob) break;
+    const int run_len = BitReader::DecodeUE(window, avail, &run);
+    if (run_len == 0) VCD_RETURN_IF_ERROR(br->ReadUE(&run));
+    br->Skip(run_len);
+    if (run == kEob) return Status::OK();
+    // `run > 62` first: k + run must not wrap for a hostile 32-bit run.
+    if (run > 62 || k + static_cast<int>(run) > 63) {
+      return Status::Corruption("AC run overruns block");
+    }
     k += static_cast<int>(run);
-    if (k > 63) return Status::Corruption("AC run overruns block");
-    int32_t level = 0;
-    VCD_RETURN_IF_ERROR(br->ReadSE(&level));
+    uint32_t mapped = 0;
+    const int level_len =
+        run_len == 0 ? 0 : BitReader::DecodeUE(window << run_len, avail - run_len, &mapped);
+    if (level_len == 0) VCD_RETURN_IF_ERROR(br->ReadUE(&mapped));
+    br->Skip(level_len);
+    const int32_t level = BitReader::ZigZagDecode(mapped);
     if (level == 0) return Status::Corruption("zero AC level is not a legal code");
-    (*qcoef)[kZigZag[k]] = level;
+    if (coef != nullptr) coef[kZigZag[k]] = level;
     ++k;
   }
-  return Status::OK();
+}
+
+}  // namespace
+
+Status ReadBlock(BitReader* br, int32_t* prev_dc, std::array<int32_t, 64>* qcoef) {
+  qcoef->fill(0);
+  return WalkBlock(br, prev_dc, qcoef->data(), qcoef->data());
 }
 
 Status ReadBlockDcOnly(BitReader* br, int32_t* prev_dc, int32_t* dc) {
-  int32_t diff = 0;
-  VCD_RETURN_IF_ERROR(br->ReadSE(&diff));
-  *prev_dc += diff;
-  *dc = *prev_dc;
-  int k = 1;
-  for (;;) {
-    uint32_t run = 0;
-    VCD_RETURN_IF_ERROR(br->ReadUE(&run));
-    if (run == kEob) break;
-    k += static_cast<int>(run);
-    if (k > 63) return Status::Corruption("AC run overruns block");
-    int32_t level = 0;
-    VCD_RETURN_IF_ERROR(br->ReadSE(&level));
-    if (level == 0) return Status::Corruption("zero AC level is not a legal code");
-    ++k;
-  }
-  return Status::OK();
+  return WalkBlock(br, prev_dc, dc, nullptr);
 }
 
 }  // namespace vcd::video::internal

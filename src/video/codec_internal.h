@@ -35,11 +35,14 @@ inline float AcStep(const int* qmat, int idx, int qscale) {
 /// end-of-block sentinel (run == 63).
 void WriteBlock(const std::array<int32_t, 64>& qcoef, int32_t* prev_dc, BitWriter* bw);
 
-/// Reads one quantized block written by WriteBlock.
+/// Reads one quantized block written by WriteBlock. Fails with Corruption
+/// on a run past the block's 63 AC positions ("AC run overruns block"), a
+/// zero level ("zero AC level is not a legal code") or a bit-reader error.
 Status ReadBlock(BitReader* br, int32_t* prev_dc, std::array<int32_t, 64>* qcoef);
 
 /// Reads only the DC of one block, skimming over the AC (run, level) pairs
-/// without storing them — the partial-decoding fast path.
+/// without storing them — the partial-decoding fast path. Walks the same
+/// bits, and fails exactly where and how, ReadBlock does (one shared body).
 Status ReadBlockDcOnly(BitReader* br, int32_t* prev_dc, int32_t* dc);
 
 /// Rounds \p v up to the next multiple of 8 (plane padding for block coding).

@@ -95,6 +95,7 @@ Status PartialDecoder::NextKeyFrame(DcFrame* out) {
       VCD_OBS_INC(metrics_.p_frames_skipped_total, 1);
       continue;
     }
+    VCD_OBS_SPAN(metrics_.decode_frame_ns);
     BitReader br(data_ + pos_ + 5, len);
     out->blocks_x = PadTo8(header_.width) / 8;
     out->blocks_y = PadTo8(header_.height) / 8;
@@ -108,10 +109,12 @@ Status PartialDecoder::NextKeyFrame(DcFrame* out) {
       int32_t qdc = 0;
       if (faultfx::ShouldFire(faultfx::Site::kDecodeError)) {
         entropy = Status::Corruption("injected decode error");
-      } else {
-        entropy = ReadBlockDcOnly(&br, &prev_dc, &qdc);
+        break;
       }
-      if (!entropy.ok()) break;
+      if (Status st = ReadBlockDcOnly(&br, &prev_dc, &qdc); !st.ok()) {
+        entropy = std::move(st);
+        break;
+      }
       out->dc[b] = static_cast<float>(qdc) * kDcQuantStep;
     }
     if (!entropy.ok()) {

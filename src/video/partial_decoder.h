@@ -78,7 +78,8 @@ class PartialDecoder {
   const PartialDecoderStats& stats() const { return stats_; }
 
   /// Attaches observability: subsequent decoding publishes the
-  /// `vcd_decoder_*` counter family and the resync-latency histogram into
+  /// `vcd_decoder_*` counter family, the resync-latency histogram and the
+  /// per-key-frame `vcd_decode_frame_ns` histogram into
   /// \p registry (not owned; must outlive this). Null detaches. The local
   /// `stats()` counters keep working either way.
   void set_metrics(obs::MetricsRegistry* registry) {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "ckpt/byte_io.h"
 #include "ckpt/state_codec.h"
 #include "core/config.h"
 #include "util/status.h"
@@ -20,6 +21,21 @@ std::vector<Section> TwoSections() {
   b.id = kSectionQueryDb;
   b.payload = {};  // empty payloads are legal
   return {a, b};
+}
+
+TEST(ByteReaderTest, ZeroBytesIntoNullIsANoOp) {
+  // An empty payload decodes into an empty vector, whose data() may be
+  // null: reading zero bytes must not hand memcpy a null pointer.
+  const uint8_t one = 7;
+  ByteReader r(&one, 1);
+  EXPECT_TRUE(r.Bytes(nullptr, 0));
+  EXPECT_EQ(r.U8(), 7);
+  EXPECT_TRUE(r.Bytes(nullptr, 0));
+  EXPECT_TRUE(r.ok());
+  ByteReader empty(nullptr, 0);
+  EXPECT_TRUE(empty.Bytes(nullptr, 0));
+  EXPECT_FALSE(empty.Bytes(nullptr, 1));
+  EXPECT_FALSE(empty.ok());
 }
 
 TEST(SnapshotTest, RoundTrip) {

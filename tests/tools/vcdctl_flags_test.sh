@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pins vcdctl monitor's flag validation: malformed or out-of-range
 # --threads/--queue/--backpressure/--on-corruption/--watchdog-ms/
-# --push-deadline-ms/--qos* values must exit 2 with a usage message BEFORE
+# --push-deadline-ms/--qos*/interval values must exit 2 with a usage message BEFORE
 # any file I/O happens — the query-db path below does not exist, so reaching
 # the loader would fail with a different error and no usage line.
 #
@@ -88,6 +88,38 @@ expect_flag_error "zero --degrade-policy probe" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --degrade-policy=probe=0 --qos
 expect_flag_error "negative --qos-tick-ms" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --qos-tick-ms=-1 --qos
+
+# Every integer flag is range-checked as a double before its int cast: a
+# value past INT_MAX is a usage error naming the flag, not a wrapped int
+# ("--queue=3e9" once read back as -2147483648). Each flag's dependencies
+# are given, so the range check is what fires.
+expect_range_error() {
+  local flag="$1"
+  shift
+  local err rc
+  err=$("$VCDCTL" monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" "$@" 2>&1 >/dev/null)
+  rc=$?
+  if [ $rc -ne 2 ]; then
+    echo "FAIL: $flag=3e9: expected exit 2, got $rc"
+    FAILED=1
+  fi
+  if ! echo "$err" | grep -q -- "error: $flag must be in \[" ||
+     ! echo "$err" | grep -q "usage: vcdctl monitor"; then
+    echo "FAIL: $flag=3e9: stderr lacks the range error or the usage message:"
+    echo "$err"
+    FAILED=1
+  fi
+}
+expect_range_error --queue --threads=2 --queue=3e9
+expect_range_error --watchdog-ms --threads=2 --watchdog-ms=3e9
+expect_range_error --metrics-interval-ms --metrics-out=/dev/null \
+  --metrics-interval-ms=3e9
+expect_range_error --checkpoint-interval-ms --checkpoint-dir=/nonexistent/ckpt \
+  --checkpoint-interval-ms=3e9
+expect_range_error --throttle-ms --throttle-ms=3e9
+expect_range_error --push-deadline-ms --threads=2 --push-deadline-ms=3e9
+expect_range_error --qos-tick-ms --threads=2 --qos --qos-tick-ms=3e9
+expect_range_error --queue --threads=2 --queue=nan
 
 # A --kernel the CPU/build cannot run must also be a usage error (exit 2),
 # not a crash or silent fallback. neon is never supported on x86 hosts and

@@ -7,8 +7,8 @@
 #     on --metrics-out) BEFORE any file I/O, exit 2 + usage, matching the
 #     contract vcdctl_flags_test.sh pins for the other monitor flags;
 #   - the default (inline, no --threads) monitor publishes the whole
-#     pipeline to --metrics-out: detector and shard series, not only the
-#     decoder's.
+#     pipeline to --metrics-out: detector and shard series, and the
+#     decoder's per-key-frame vcd_decode_frame_ns histogram.
 #
 # Usage: vcdctl_metrics_test.sh <path-to-vcdctl>
 set -u
@@ -118,7 +118,7 @@ if "$VCDCTL" generate --out="$WORK/clip.y4m" --seconds=8 --seed=7 \
   fi
   for series in vcd_detector_windows_total vcd_shard_frames_processed_total \
                 vcd_shard_frames_degraded_total vcd_shard_queue_depth \
-                vcd_shard_stream_lag_us; do
+                vcd_shard_stream_lag_us vcd_decode_frame_ns; do
     if ! grep -q "\"$series\"" "$WORK/m.json" 2>/dev/null; then
       echo "FAIL: default-path --metrics-out lacks $series"
       FAILED=1

@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -833,6 +834,24 @@ void MonitorUsage() {
                "--degrade-policy probe=N,cap=N,nogeo]\n");
 }
 
+/// Reads the integer flag --\p name (\p def when absent) into \p out
+/// (when non-null), range-checked as a double before the cast: a value
+/// outside [lo, hi] (or NaN) must neither wrap through an undefined int
+/// conversion nor reach the engine. Prints the error and returns false when
+/// out of range; the later `static_cast<int>(a.Num(...))` reads of a flag
+/// that passed are then defined.
+bool IntFlag(const Args& a, const std::string& name, int def, int lo, int hi,
+             int* out = nullptr) {
+  const double v = a.Num(name, def);
+  if (!(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "error: --%s must be in [%d, %d] (got %s)\n",
+                 name.c_str(), lo, hi, a.Str(name, "").c_str());
+    return false;
+  }
+  if (out != nullptr) *out = static_cast<int>(v);
+  return true;
+}
+
 int CmdMonitor(const Args& a) {
   if (a.positional.size() < 2) {
     MonitorUsage();
@@ -840,19 +859,19 @@ int CmdMonitor(const Args& a) {
   }
   // All flag validation happens before any file I/O, so a bad invocation
   // fails fast with a usage message instead of a missing-file error.
-  // Range-checked as a double, before the cast: an out-of-range value must
-  // neither wrap nor reach thread creation.
-  const double threads_arg = a.Num("threads", 0);
-  if (!(threads_arg >= 0 && threads_arg <= core::kMaxThreads)) {
-    std::fprintf(stderr, "error: --threads must be in [0, %d] (got %s)\n",
-                 core::kMaxThreads, a.Str("threads", "").c_str());
-    MonitorUsage();
-    return 2;
-  }
-  const int threads = static_cast<int>(threads_arg);
-  const int queue = static_cast<int>(a.Num("queue", 256));
-  if (queue < 1) {
-    std::fprintf(stderr, "error: --queue must be >= 1 (got %d)\n", queue);
+  // --threads is capped so an out-of-range value cannot reach thread
+  // creation.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  int threads = 0, metrics_interval_ms = 0, push_deadline_ms = 0;
+  CkptOptions copt;
+  if (!IntFlag(a, "threads", 0, 0, core::kMaxThreads, &threads) ||
+      !IntFlag(a, "queue", 256, 1, kIntMax) ||
+      !IntFlag(a, "watchdog-ms", 0, 0, kIntMax) ||
+      !IntFlag(a, "metrics-interval-ms", 0, 0, kIntMax, &metrics_interval_ms) ||
+      !IntFlag(a, "checkpoint-interval-ms", 0, 0, kIntMax, &copt.interval_ms) ||
+      !IntFlag(a, "throttle-ms", 0, 0, kIntMax, &copt.throttle_ms) ||
+      !IntFlag(a, "push-deadline-ms", 0, 0, kIntMax, &push_deadline_ms) ||
+      !IntFlag(a, "qos-tick-ms", 50, 0, kIntMax)) {
     MonitorUsage();
     return 2;
   }
@@ -872,22 +891,7 @@ int CmdMonitor(const Args& a) {
     MonitorUsage();
     return 2;
   }
-  const int watchdog_ms = static_cast<int>(a.Num("watchdog-ms", 0));
-  if (watchdog_ms < 0) {
-    std::fprintf(stderr, "error: --watchdog-ms must be >= 0 (got %d)\n",
-                 watchdog_ms);
-    MonitorUsage();
-    return 2;
-  }
   const std::string metrics_out = a.Str("metrics-out", "");
-  const int metrics_interval_ms =
-      static_cast<int>(a.Num("metrics-interval-ms", 0));
-  if (metrics_interval_ms < 0) {
-    std::fprintf(stderr, "error: --metrics-interval-ms must be >= 0 (got %d)\n",
-                 metrics_interval_ms);
-    MonitorUsage();
-    return 2;
-  }
   if (metrics_interval_ms > 0 && metrics_out.empty()) {
     std::fprintf(stderr,
                  "error: --metrics-interval-ms requires --metrics-out\n");
@@ -905,17 +909,8 @@ int CmdMonitor(const Args& a) {
       return 2;
     }
   }
-  CkptOptions copt;
   copt.dir = a.Str("checkpoint-dir", "");
-  copt.interval_ms = static_cast<int>(a.Num("checkpoint-interval-ms", 0));
   copt.restore = a.options.count("restore") > 0;
-  copt.throttle_ms = static_cast<int>(a.Num("throttle-ms", 0));
-  if (copt.interval_ms < 0) {
-    std::fprintf(stderr, "error: --checkpoint-interval-ms must be >= 0 (got %d)\n",
-                 copt.interval_ms);
-    MonitorUsage();
-    return 2;
-  }
   if (copt.interval_ms > 0 && copt.dir.empty()) {
     std::fprintf(stderr,
                  "error: --checkpoint-interval-ms requires --checkpoint-dir\n");
@@ -927,20 +922,7 @@ int CmdMonitor(const Args& a) {
     MonitorUsage();
     return 2;
   }
-  if (copt.throttle_ms < 0) {
-    std::fprintf(stderr, "error: --throttle-ms must be >= 0 (got %d)\n",
-                 copt.throttle_ms);
-    MonitorUsage();
-    return 2;
-  }
   const bool qos_on = a.options.count("qos") > 0;
-  const int push_deadline_ms = static_cast<int>(a.Num("push-deadline-ms", 0));
-  if (push_deadline_ms < 0) {
-    std::fprintf(stderr, "error: --push-deadline-ms must be >= 0 (got %d)\n",
-                 push_deadline_ms);
-    MonitorUsage();
-    return 2;
-  }
   if (push_deadline_ms > 0 && threads <= 0) {
     std::fprintf(stderr, "error: --push-deadline-ms requires --threads >= 1\n");
     MonitorUsage();
