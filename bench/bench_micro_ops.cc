@@ -1,7 +1,8 @@
 /// \file bench_micro_ops.cc
 /// Micro-benchmarks of the primitive costs the paper's Eq. 4 is built from:
 /// C_comp and C_comb for the raw-sketch and bit-signature representations,
-/// min-hash sketching of a basic window, and the Hash-Query index probe.
+/// min-hash sketching of a basic window, and the Hash-Query index probe and
+/// batch build.
 /// Also benches the Lemma-2 pruning ablation at the detector level, and the
 /// partial decoder's entropy layer (one Exp-Golomb code, one key frame).
 
@@ -188,6 +189,26 @@ void BM_IndexInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndexInsert)->Arg(50)->Arg(200);
+
+/// Batch index build over m queries at K = 800: the set-up every stream pays
+/// on its first frame (m = 1000 is the portfolio workload's query count).
+void BM_IndexBuild(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int k = 800;
+  auto fam = MinHashFamily::Create(k).value();
+  Sketcher sk(&fam);
+  Rng rng(10);
+  std::vector<Sketch> sketches;
+  std::vector<index::QueryInfo> infos;
+  for (int q = 0; q < m; ++q) {
+    sketches.push_back(sk.FromSequence(RandomIds(&rng, 80)));
+    infos.push_back(index::QueryInfo{q + 1, 80});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index::HashQueryIndex::Build(sketches, infos));
+  }
+}
+BENCHMARK(BM_IndexBuild)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // --- slab kernels vs per-object signature ops ------------------------------
 // Each BM_Pool* / BM_Obj* pair does the same logical work over a fixed

@@ -1,7 +1,6 @@
 #include "index/hash_query_index.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <unordered_set>
 
@@ -23,49 +22,46 @@ Result<HashQueryIndex> HashQueryIndex::Build(const std::vector<sketch::Sketch>& 
     }
   }
   const int m = static_cast<int>(sketches.size());
+  const auto at = [m](int r, int i) {
+    return static_cast<size_t>(r) * static_cast<size_t>(m) + static_cast<size_t>(i);
+  };
   HashQueryIndex idx;
   idx.rows_.resize(static_cast<size_t>(k));
-  // pos[r][q] = position of query q in row r after sorting.
-  std::vector<std::vector<int>> pos(static_cast<size_t>(k),
-                                    std::vector<int>(static_cast<size_t>(m)));
-  std::vector<std::vector<int>> order_of_row(static_cast<size_t>(k));
+  // pos[at(r, q)] = position of query q in row r; query[at(r, j)] = the
+  // query at position j of row r.
+  std::vector<int> pos(static_cast<size_t>(k) * static_cast<size_t>(m));
+  std::vector<int> query(pos.size());
+  // Each row sorts (value, query) pairs gathered once, so comparisons touch
+  // one contiguous array; ties break on the query index, as the rows
+  // require.
+  std::vector<std::pair<uint64_t, int>> keyed(static_cast<size_t>(m));
   for (int r = 0; r < k; ++r) {
-    std::vector<int> order(static_cast<size_t>(m));
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const uint64_t va = sketches[static_cast<size_t>(a)].mins[static_cast<size_t>(r)];
-      const uint64_t vb = sketches[static_cast<size_t>(b)].mins[static_cast<size_t>(r)];
-      if (va != vb) return va < vb;
-      return a < b;
-    });
+    for (int q = 0; q < m; ++q) {
+      keyed[static_cast<size_t>(q)] = {
+          sketches[static_cast<size_t>(q)].mins[static_cast<size_t>(r)], q};
+    }
+    std::sort(keyed.begin(), keyed.end());
     auto& row = idx.rows_[static_cast<size_t>(r)];
     row.resize(static_cast<size_t>(m));
     for (int j = 0; j < m; ++j) {
-      const int q = order[static_cast<size_t>(j)];
-      row[static_cast<size_t>(j)].value =
-          sketches[static_cast<size_t>(q)].mins[static_cast<size_t>(r)];
-      pos[static_cast<size_t>(r)][static_cast<size_t>(q)] = j;
+      const auto& [value, q] = keyed[static_cast<size_t>(j)];
+      row[static_cast<size_t>(j)].value = value;
+      pos[at(r, q)] = j;
+      query[at(r, j)] = q;
     }
-    order_of_row[static_cast<size_t>(r)] = std::move(order);
   }
   for (int r = 0; r < k; ++r) {
     auto& row = idx.rows_[static_cast<size_t>(r)];
     for (int j = 0; j < m; ++j) {
-      const int q = order_of_row[static_cast<size_t>(r)][static_cast<size_t>(j)];
-      if (r > 0) {
-        row[static_cast<size_t>(j)].up = pos[static_cast<size_t>(r - 1)][static_cast<size_t>(q)];
-      }
-      if (r + 1 < k) {
-        row[static_cast<size_t>(j)].down =
-            pos[static_cast<size_t>(r + 1)][static_cast<size_t>(q)];
-      }
-      row[static_cast<size_t>(j)].col = pos[0][static_cast<size_t>(q)];
+      const int q = query[at(r, j)];
+      if (r > 0) row[static_cast<size_t>(j)].up = pos[at(r - 1, q)];
+      if (r + 1 < k) row[static_cast<size_t>(j)].down = pos[at(r + 1, q)];
+      row[static_cast<size_t>(j)].col = pos[at(0, q)];
     }
   }
   idx.row0_info_.resize(static_cast<size_t>(m));
   for (int j = 0; j < m; ++j) {
-    idx.row0_info_[static_cast<size_t>(j)] =
-        infos[static_cast<size_t>(order_of_row[0][static_cast<size_t>(j)])];
+    idx.row0_info_[static_cast<size_t>(j)] = infos[static_cast<size_t>(query[at(0, j)])];
   }
   return idx;
 }

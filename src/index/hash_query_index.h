@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sketch/bit_signature.h"
@@ -117,6 +118,14 @@ class HashQueryIndex {
   /// Reconstructs the sketch of query \p query_id by walking the `down`
   /// chain from its row-0 entry — the reverse lookup the paper describes.
   Result<sketch::Sketch> QuerySketch(int query_id) const;
+
+  /// The element at position \p pos of row \p row (rows are sorted by
+  /// value): its min-hash value and the id of the query it belongs to. For
+  /// tests and debugging.
+  std::pair<uint64_t, int> ElementAt(int row, int pos) const {
+    const Entry& e = rows_[static_cast<size_t>(row)][static_cast<size_t>(pos)];
+    return {e.value, row0_info_[static_cast<size_t>(e.col)].id};
+  }
 
   /// Verifies all structural invariants (row sortedness, up/down chain
   /// consistency, row-0 info alignment). Exposed for tests and the

@@ -131,6 +131,9 @@ ShardMetrics ShardMetrics::Create(MetricsRegistry* registry, int shard_id) {
   m.stream_lag_us = registry->RegisterGauge(
       "vcd_shard_stream_lag_us",
       "Stream-clock lag of the frame being processed, microseconds", labels);
+  m.queue_wait_ns = registry->RegisterHistogram(
+      "vcd_shard_queue_wait_ns",
+      "Time a task waited in the shard queue before it ran", labels);
   m.dropped_quarantine = DropCause(registry, "quarantine");
   m.dropped_failed = DropCause(registry, "failed");
   return m;

@@ -86,6 +86,9 @@ struct ShardMetrics {
   Counter* quarantine_events_total = nullptr;
   Gauge* queue_depth = nullptr;
   Gauge* stream_lag_us = nullptr;
+  /// Time a task (frame or command) waited in the shard queue, from its
+  /// push to the start of its execution; 0 for every task in inline mode.
+  Histogram* queue_wait_ns = nullptr;
   /// Health-machine legs of the unified drop family (shared across shards —
   /// the registry dedupes on (name, labels), so every shard's bundle holds
   /// the same instrument): `vcd_frames_dropped_total{cause="quarantine"}`

@@ -344,7 +344,8 @@ int StreamExecutor::num_open_streams() const {
   return num_open_streams_.load(std::memory_order_relaxed);
 }
 
-Status StreamExecutor::ProcessKeyFrame(int stream_id, vcd::video::DcFrame frame) {
+template <typename Frame>
+Status StreamExecutor::SubmitFrame(int stream_id, Frame&& frame) {
   if (stream_id <= 0 ||
       stream_id >= next_stream_id_.load(std::memory_order_acquire)) {
     return Status::NotFound("no such stream");
@@ -352,8 +353,8 @@ Status StreamExecutor::ProcessKeyFrame(int stream_id, vcd::video::DcFrame frame)
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   metrics_.frames_submitted_total->Inc();
   qos::Priority shed_priority = qos::Priority::kNormal;
-  switch (shard_for(stream_id)->SubmitFrame(seq, stream_id, std::move(frame),
-                                            &shed_priority)) {
+  switch (shard_for(stream_id)->SubmitFrame(
+      seq, stream_id, std::forward<Frame>(frame), &shed_priority)) {
     case Shard::Submit::kAccepted:
       break;
     case Shard::Submit::kDropped:
@@ -371,6 +372,15 @@ Status StreamExecutor::ProcessKeyFrame(int stream_id, vcd::video::DcFrame frame)
       break;
   }
   return Status::OK();
+}
+
+Status StreamExecutor::ProcessKeyFrame(int stream_id, vcd::video::DcFrame frame) {
+  return SubmitFrame(stream_id, std::move(frame));
+}
+
+Status StreamExecutor::ProcessKeyFrame(int stream_id,
+                                       const vcd::video::EncodedKeyFrame& frame) {
+  return SubmitFrame(stream_id, frame);
 }
 
 Status StreamExecutor::Drain() {

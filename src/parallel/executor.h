@@ -28,6 +28,8 @@
 /// per-stream, so shards share nothing on the frame path: `ProcessKeyFrame`
 /// touches only an atomic id bound check, a global sequence counter and the
 /// owning shard's bounded MPSC queue — no portfolio lock, no registry lock.
+/// Frames may be submitted decoded (`DcFrame`) or encoded
+/// (`EncodedKeyFrame`); encoded ones are entropy-decoded on their shard.
 /// With `num_threads == 0` (the default) there is one inline shard and no
 /// worker: each frame and command runs on the calling thread through the
 /// same shard code (shard.h "Inline mode"), so the serial engine has the
@@ -189,6 +191,17 @@ class StreamExecutor {
   ///   the frame was addressed to a stream that no longer exists).
   Status ProcessKeyFrame(int stream_id, vcd::video::DcFrame frame);
 
+  /// ProcessKeyFrame for a key frame framed but not yet entropy-decoded
+  /// (video::PartialDecoder::NextEncodedKeyFrame): the owning shard decodes
+  /// it (shard.h, "Decoding on the shard"), so decoding scales with the
+  /// shard count while the calling thread only frames. Same sequencing,
+  /// admission and drop accounting as the DcFrame overload; entropy damage
+  /// arrives at the stream's health machine as a degraded frame. The
+  /// payload is borrowed: its buffer must stay alive until the frame has
+  /// run — after a Drain(), a CloseStream() of the stream, or the
+  /// executor's destruction (which still runs queued frames).
+  Status ProcessKeyFrame(int stream_id, const vcd::video::EncodedKeyFrame& frame);
+
   /// Barrier: waits until every frame and command submitted before this
   /// call has been processed, then folds all shard match logs into the
   /// merged log. Returns the first sticky processing error, if any; a
@@ -279,6 +292,11 @@ class StreamExecutor {
   Shard* shard_for(int stream_id) const {
     return shards_[static_cast<size_t>(stream_id - 1) % shards_.size()].get();
   }
+
+  /// Both ProcessKeyFrame overloads: id check, sequence number, submission
+  /// to the owning shard and the drop accounting of its result.
+  template <typename Frame>
+  Status SubmitFrame(int stream_id, Frame&& frame);
 
   /// AddQuerySketch body; requires control_mu_ held.
   Status AddQuerySketchLocked(int id, const sketch::Sketch& sk, int length_frames,

@@ -134,8 +134,10 @@ class BoundedMpscQueue : public MpscQueueBase {
     return true;
   }
 
-  /// Non-blocking push; returns false when the queue is full or closed.
-  bool TryPush(T item) VCD_EXCLUDES(mu_) {
+  /// Non-blocking push; returns false when the queue is full or closed,
+  /// and then leaves \p item untouched (moved from only on success), so the
+  /// caller can still act on it — e.g. do its work before a blocking Push.
+  bool TryPush(T&& item) VCD_EXCLUDES(mu_) {
     {
       MutexLock lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/clock.h"
 #include "obs/span.h"
 #include "util/check.h"
 #include "util/faultfx.h"
@@ -32,7 +33,8 @@ Shard::Shard(int shard_id, const core::ParallelConfig& config,
       config_(config),
       inline_(config.num_threads == 0),
       queue_(static_cast<size_t>(config.queue_capacity)),
-      metrics_(obs::ShardMetrics::Create(registry, shard_id)) {
+      metrics_(obs::ShardMetrics::Create(registry, shard_id)),
+      decoder_metrics_(obs::DecoderMetrics::Create(registry)) {
   // Snapshot() dereferences the counters unconditionally; a null registry
   // is a wiring bug (the executor always supplies one), not input.
   VCD_CHECK(registry != nullptr, "Shard requires a metrics registry");
@@ -44,12 +46,41 @@ Shard::~Shard() {
   if (worker_.joinable()) worker_.join();
 }
 
+namespace {
+
+/// The enqueue stamp of a task about to be pushed (0 when observability is
+/// compiled out: the queue-wait histogram does not exist then).
+int64_t EnqueueStamp() {
+  if constexpr (obs::kEnabled) return obs::NowNanos();
+  return 0;
+}
+
+}  // namespace
+
 Shard::Submit Shard::SubmitFrame(uint64_t seq, int stream_id,
                                  vcd::video::DcFrame frame,
                                  qos::Priority* shed_priority) {
+  Task t;
+  t.seq = seq;
+  t.stream_id = stream_id;
+  t.frame = std::move(frame);
+  return SubmitTask(std::move(t), shed_priority);
+}
+
+Shard::Submit Shard::SubmitFrame(uint64_t seq, int stream_id,
+                                 const vcd::video::EncodedKeyFrame& frame,
+                                 qos::Priority* shed_priority) {
+  Task t;
+  t.seq = seq;
+  t.stream_id = stream_id;
+  t.encoded = frame;
+  return SubmitTask(std::move(t), shed_priority);
+}
+
+Shard::Submit Shard::SubmitTask(Task t, qos::Priority* shed_priority) {
   if (failed()) return Submit::kFailedOver;
   if (faultfx::ShouldFire(faultfx::Site::kQueueOverflow,
-                          static_cast<uint64_t>(stream_id))) {
+                          static_cast<uint64_t>(t.stream_id))) {
     // Simulated overload: behave exactly as a full queue under kDropNewest.
     return Submit::kDropped;
   }
@@ -62,7 +93,7 @@ Shard::Submit Shard::SubmitFrame(uint64_t seq, int stream_id,
     bool shed = false;
     {
       MutexLock lock(qos_mu_);
-      auto it = qos_gate_.find(stream_id);
+      auto it = qos_gate_.find(t.stream_id);
       if (it != qos_gate_.end()) {
         victim = it->second.priority;
         shed = qos::ShouldShed(victim, it->second.seq++);
@@ -73,15 +104,11 @@ Shard::Submit Shard::SubmitFrame(uint64_t seq, int stream_id,
       return Submit::kShedded;
     }
   }
-  Task t;
-  t.seq = seq;
-  t.stream_id = stream_id;
-  t.frame = std::move(frame);
   // Track the newest stream-clock timestamp entering this shard — the
   // reference point of the lag signal computed in ProcessFrame. Always on:
   // the QoS governor samples lag even when observability is compiled out.
   {
-    const auto us = static_cast<int64_t>(t.frame.timestamp * 1e6);
+    const auto us = static_cast<int64_t>(t.timestamp() * 1e6);
     int64_t prev = newest_submitted_us_.load(std::memory_order_relaxed);
     while (us > prev && !newest_submitted_us_.compare_exchange_weak(
                             prev, us, std::memory_order_relaxed)) {
@@ -91,25 +118,49 @@ Shard::Submit Shard::SubmitFrame(uint64_t seq, int stream_id,
     RunInline(std::move(t));
     return Submit::kAccepted;
   }
-  if (config_.backpressure == core::BackpressurePolicy::kBlock) {
-    if (config_.push_deadline_ms > 0) {
-      const auto result = queue_.PushWithDeadline(
-          std::move(t), std::chrono::milliseconds(config_.push_deadline_ms));
+  t.enqueue_ns = EnqueueStamp();
+  if (config_.backpressure == core::BackpressurePolicy::kDropNewest) {
+    const bool accepted = queue_.TryPush(std::move(t));
+    VCD_OBS_SET(metrics_.queue_depth, static_cast<int64_t>(queue_.depth()));
+    return accepted ? Submit::kAccepted : Submit::kDropped;
+  }
+  if (t.encoded) {
+    // Work-conserving handoff: rather than sleep on a full queue, decode
+    // the frame here, then make the blocking push. TryPush leaves t intact
+    // when it fails.
+    if (queue_.TryPush(std::move(t))) {
       VCD_OBS_SET(metrics_.queue_depth, static_cast<int64_t>(queue_.depth()));
-      if (result == MpscQueueBase::PushResult::kTimeout) {
-        return Submit::kDeadline;
-      }
-      // kClosed mirrors the unbounded Push path below: shutdown races are
-      // benign and the frame is simply not processed.
       return Submit::kAccepted;
     }
-    queue_.Push(std::move(t));
+    Decode(*t.encoded, &t.frame);
+    t.encoded.reset();
+    t.enqueue_ns = EnqueueStamp();
+  }
+  if (config_.push_deadline_ms > 0) {
+    const auto result = queue_.PushWithDeadline(
+        std::move(t), std::chrono::milliseconds(config_.push_deadline_ms));
     VCD_OBS_SET(metrics_.queue_depth, static_cast<int64_t>(queue_.depth()));
+    if (result == MpscQueueBase::PushResult::kTimeout) {
+      return Submit::kDeadline;
+    }
+    // kClosed mirrors the unbounded Push path below: shutdown races are
+    // benign and the frame is simply not processed.
     return Submit::kAccepted;
   }
-  const bool accepted = queue_.TryPush(std::move(t));
+  queue_.Push(std::move(t));
   VCD_OBS_SET(metrics_.queue_depth, static_cast<int64_t>(queue_.depth()));
-  return accepted ? Submit::kAccepted : Submit::kDropped;
+  return Submit::kAccepted;
+}
+
+void Shard::Decode(const vcd::video::EncodedKeyFrame& in,
+                   vcd::video::DcFrame* out) const {
+  VCD_OBS_SPAN(decoder_metrics_.decode_frame_ns);
+  if (vcd::video::PartialDecoder::DecodeKeyFrame(in, out).ok()) return;
+  // One route for entropy damage, whichever thread finds it: keep the DC
+  // prefix as a degraded frame; the health machine applies the policy.
+  out->degraded = true;
+  VCD_OBS_INC(decoder_metrics_.corruption_events_total, 1);
+  VCD_OBS_INC(decoder_metrics_.degraded_frames_total, 1);
 }
 
 void Shard::RegisterStreamQos(int stream_id, qos::Priority priority) {
@@ -129,6 +180,7 @@ void Shard::SubmitCommand(Command cmd) {
     RunInline(std::move(t));
     return;
   }
+  t.enqueue_ns = EnqueueStamp();
   queue_.PushUnbounded(std::move(t));
 }
 
@@ -176,6 +228,8 @@ void Shard::Execute(Task& t) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(static_cast<int64_t>(stall_ms)));
   }
+  VCD_OBS_OBSERVE(metrics_.queue_wait_ns,
+                  t.enqueue_ns > 0 ? obs::NowNanos() - t.enqueue_ns : 0);
   Stopwatch sw;
   if (t.command) {
     t.command(this);
@@ -194,7 +248,7 @@ void Shard::ProcessFrame(Task& t) {
   // behind real time" signal (per shard; microseconds of stream time).
   // Maintained unconditionally: this is also the governor's lag input.
   {
-    const auto us = static_cast<int64_t>(t.frame.timestamp * 1e6);
+    const auto us = static_cast<int64_t>(t.timestamp() * 1e6);
     const int64_t lag =
         newest_submitted_us_.load(std::memory_order_relaxed) - us;
     last_lag_us_.store(lag > 0 ? lag : 0, std::memory_order_relaxed);
@@ -226,25 +280,28 @@ void Shard::ProcessFrame(Task& t) {
     }
     return;
   }
+  // Only now, with the frame known to reach its detector, is it decoded.
+  vcd::video::DcFrame& frame = t.encoded ? slot.frame : t.frame;
+  if (t.encoded) Decode(*t.encoded, &frame);
   const uint64_t key = static_cast<uint64_t>(t.stream_id);
-  bool fault = t.frame.degraded;
+  bool fault = frame.degraded;
   if (faultfx::ShouldFire(faultfx::Site::kDecodeError, key)) {
-    t.frame.degraded = true;
+    frame.degraded = true;
     fault = true;
   }
   double skew = 0.0;
   if (faultfx::ShouldFire(faultfx::Site::kClockSkew, key, &skew)) {
-    t.frame.timestamp += skew;
+    frame.timestamp += skew;
   }
-  Status st = slot.detector->ProcessKeyFrame(t.frame);
+  Status st = slot.detector->ProcessKeyFrame(frame);
   if (!st.ok() && first_error_.ok()) first_error_ = st;
   DrainSlotMatches(t.stream_id, &slot, t.seq);
   metrics_.frames_processed_total->Inc();
   // Clock skew counts as a fault for the health machine: the detector
   // demoted the frame (out_of_order_frames) even though it arrived with
   // degraded = false.
-  if (slot.saw_timestamp && t.frame.timestamp < slot.max_timestamp) fault = true;
-  slot.max_timestamp = std::max(slot.max_timestamp, t.frame.timestamp);
+  if (slot.saw_timestamp && frame.timestamp < slot.max_timestamp) fault = true;
+  slot.max_timestamp = std::max(slot.max_timestamp, frame.timestamp);
   slot.saw_timestamp = true;
   if (fault) metrics_.frames_degraded_total->Inc();
   UpdateHealth(t.stream_id, &slot, fault);

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +39,21 @@
 /// kInlineShard-ranked `inline_mu_` so every public entry point stays safe
 /// from any thread. Nothing is queued, so backpressure, the push deadline
 /// and the watchdog never trigger; this is the serial engine.
+///
+/// ### Decoding on the shard
+/// A frame submitted as a `video::EncodedKeyFrame` is entropy-decoded by the
+/// worker, into the stream's recycled DcFrame, right before detection; the
+/// worker never decodes a frame it discards (unknown stream, quarantined,
+/// failed), and a shed or dropped frame is never decoded at all. Under
+/// kBlock the handoff is work-conserving: a producer that finds the queue
+/// full decodes the frame itself and then makes the blocking push, so it
+/// decodes instead of sleeping (such a frame can still be discarded when it
+/// runs: it was decoded on time the producer would have spent waiting). Entropy damage takes
+/// one route whichever thread finds it: the DC prefix is kept as a degraded
+/// frame and the stream's health machine applies the corruption policy.
+/// The payload is borrowed, not copied: the caller keeps the buffer it
+/// points into alive until the frame has run (a Drain, a CloseStream of the
+/// stream, or the executor's destruction).
 ///
 /// ### Lock discipline
 /// A shard's frame-path synchronization point is the bounded MPSC queue
@@ -146,6 +162,13 @@ class Shard {
   Submit SubmitFrame(uint64_t seq, int stream_id, vcd::video::DcFrame frame,
                      qos::Priority* shed_priority = nullptr);
 
+  /// SubmitFrame for a key frame still to be entropy-decoded (see "Decoding
+  /// on the shard" above): same admission rules and results; a frame that
+  /// is shed, dropped or failed over is never decoded.
+  Submit SubmitFrame(uint64_t seq, int stream_id,
+                     const vcd::video::EncodedKeyFrame& frame,
+                     qos::Priority* shed_priority = nullptr);
+
   /// Enqueues a control command (inline: runs it before returning).
   /// Commands bypass the capacity bound (PushUnbounded) and are never
   /// dropped, whatever the backpressure policy — a saturated or stalled
@@ -252,12 +275,22 @@ class Shard {
 
  private:
   /// One queued unit of work: a frame when `command` is empty, else a
-  /// command.
+  /// command. A frame is either decoded (`frame`) or still encoded
+  /// (`encoded` engaged; the worker decodes it).
   struct Task {
     uint64_t seq = 0;
     int stream_id = 0;
     vcd::video::DcFrame frame;
+    std::optional<vcd::video::EncodedKeyFrame> encoded;
+    /// obs::NowNanos() at the push, for vcd_shard_queue_wait_ns; 0 when
+    /// the task never queued (inline mode) or observability is compiled
+    /// out.
+    int64_t enqueue_ns = 0;
     Command command;
+
+    double timestamp() const {
+      return encoded ? encoded->timestamp : frame.timestamp;
+    }
   };
 
   struct StreamSlot {
@@ -274,7 +307,21 @@ class Shard {
     int64_t backoff_frames = 0;        ///< next quarantine's length
     double max_timestamp = 0.0;        ///< clock-skew fault detection
     bool saw_timestamp = false;
+    /// Decode target of the stream's encoded frames, recycled so decoding
+    /// on the shard allocates nothing per frame.
+    vcd::video::DcFrame frame;
   };
+
+  /// Both SubmitFrame overloads after the Task is built: failover, injected
+  /// overflow, the shed gate, the lag reference, then inline execution or
+  /// the push the backpressure policy asks for.
+  Submit SubmitTask(Task t, qos::Priority* shed_priority);
+
+  /// Entropy-decodes \p in into \p out on the calling thread (worker or a
+  /// producer facing a full queue), timed in vcd_decode_frame_ns. Damage
+  /// yields a degraded frame holding the decoded DC prefix.
+  void Decode(const vcd::video::EncodedKeyFrame& in,
+              vcd::video::DcFrame* out) const;
 
   /// Worker loop: pops tasks until the queue is closed and drained.
   void Run();
@@ -352,6 +399,9 @@ class Shard {
 
   /// Cached `vcd_shard_*` instruments (never null; see ctor contract).
   obs::ShardMetrics metrics_;
+  /// The decoder instruments of the decode this shard runs: the
+  /// `vcd_decode_frame_ns` span and the entropy-damage counters.
+  obs::DecoderMetrics decoder_metrics_;
 
   std::thread worker_;  ///< not started in inline mode
 };

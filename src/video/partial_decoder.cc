@@ -59,7 +59,7 @@ bool PartialDecoder::ResyncFrom(size_t from) {
   return false;
 }
 
-Status PartialDecoder::NextKeyFrame(DcFrame* out) {
+Status PartialDecoder::FrameKeyFrame(EncodedKeyFrame* out) {
   while (pos_ < size_) {
     if (pos_ + 5 > size_) {
       ++stats_.corruption_events;
@@ -95,46 +95,67 @@ Status PartialDecoder::NextKeyFrame(DcFrame* out) {
       VCD_OBS_INC(metrics_.p_frames_skipped_total, 1);
       continue;
     }
-    VCD_OBS_SPAN(metrics_.decode_frame_ns);
-    BitReader br(data_ + pos_ + 5, len);
-    out->blocks_x = PadTo8(header_.width) / 8;
-    out->blocks_y = PadTo8(header_.height) / 8;
     out->frame_index = frame_index_;
     out->timestamp = header_.fps > 0 ? static_cast<double>(frame_index_) / header_.fps : 0;
-    out->degraded = false;
-    out->dc.assign(static_cast<size_t>(out->blocks_x) * out->blocks_y, 0.0f);
-    int32_t prev_dc = 0;
-    Status entropy;
-    for (size_t b = 0; b < out->dc.size(); ++b) {
-      int32_t qdc = 0;
-      if (faultfx::ShouldFire(faultfx::Site::kDecodeError)) {
-        entropy = Status::Corruption("injected decode error");
-        break;
-      }
-      if (Status st = ReadBlockDcOnly(&br, &prev_dc, &qdc); !st.ok()) {
-        entropy = std::move(st);
-        break;
-      }
-      out->dc[b] = static_cast<float>(qdc) * kDcQuantStep;
-    }
-    if (!entropy.ok()) {
-      ++stats_.corruption_events;
-      VCD_OBS_INC(metrics_.corruption_events_total, 1);
-      if (!resync_) return entropy;
-      // Keep the DC prefix decoded so far (the rest stays zero) and flag
-      // the frame so detection skips its basic window's sketch.
-      out->degraded = true;
-      ++stats_.degraded_frames;
-      VCD_OBS_INC(metrics_.degraded_frames_total, 1);
-    }
-    // Chroma planes and the rest of the frame are skipped via the length.
-    pos_ += 5 + len;
-    ++frame_index_;
-    ++stats_.key_frames;
-    VCD_OBS_INC(metrics_.key_frames_total, 1);
+    out->blocks_x = PadTo8(header_.width) / 8;
+    out->blocks_y = PadTo8(header_.height) / 8;
+    out->payload = data_ + pos_ + 5;
+    out->size = len;
     return Status::OK();
   }
   return Status::NotFound("end of stream");
+}
+
+void PartialDecoder::ConsumeKeyFrame(const EncodedKeyFrame& frame) {
+  // Chroma planes and the rest of the frame are skipped via the length.
+  pos_ += 5 + frame.size;
+  ++frame_index_;
+  ++stats_.key_frames;
+  VCD_OBS_INC(metrics_.key_frames_total, 1);
+}
+
+Status PartialDecoder::NextEncodedKeyFrame(EncodedKeyFrame* out) {
+  VCD_RETURN_IF_ERROR(FrameKeyFrame(out));
+  ConsumeKeyFrame(*out);
+  return Status::OK();
+}
+
+Status PartialDecoder::NextKeyFrame(DcFrame* out) {
+  EncodedKeyFrame frame;
+  VCD_RETURN_IF_ERROR(FrameKeyFrame(&frame));
+  VCD_OBS_SPAN(metrics_.decode_frame_ns);
+  if (Status st = DecodeKeyFrame(frame, out); !st.ok()) {
+    ++stats_.corruption_events;
+    VCD_OBS_INC(metrics_.corruption_events_total, 1);
+    if (!resync_) return st;
+    // Keep the DC prefix decoded so far (the rest stays zero) and flag
+    // the frame so detection skips its basic window's sketch.
+    out->degraded = true;
+    ++stats_.degraded_frames;
+    VCD_OBS_INC(metrics_.degraded_frames_total, 1);
+  }
+  ConsumeKeyFrame(frame);
+  return Status::OK();
+}
+
+Status PartialDecoder::DecodeKeyFrame(const EncodedKeyFrame& in, DcFrame* out) {
+  out->frame_index = in.frame_index;
+  out->timestamp = in.timestamp;
+  out->blocks_x = in.blocks_x;
+  out->blocks_y = in.blocks_y;
+  out->degraded = false;
+  out->dc.assign(static_cast<size_t>(in.blocks_x) * in.blocks_y, 0.0f);
+  BitReader br(in.payload, in.size);
+  int32_t prev_dc = 0;
+  for (size_t b = 0; b < out->dc.size(); ++b) {
+    if (faultfx::ShouldFire(faultfx::Site::kDecodeError)) {
+      return Status::Corruption("injected decode error");
+    }
+    int32_t qdc = 0;
+    VCD_RETURN_IF_ERROR(ReadBlockDcOnly(&br, &prev_dc, &qdc));
+    out->dc[b] = static_cast<float>(qdc) * kDcQuantStep;
+  }
+  return Status::OK();
 }
 
 Result<std::vector<DcFrame>> PartialDecoder::ExtractAll(const std::vector<uint8_t>& data) {

@@ -49,6 +49,22 @@ struct DcFrame {
   float BlockMean(int bx, int by) const { return At(bx, by) / 8.0f + 128.0f; }
 };
 
+/// \brief One key frame located by PartialDecoder::NextEncodedKeyFrame:
+/// where it sits in the stream, and its still entropy-coded payload.
+///
+/// `payload` points into the buffer given to PartialDecoder::Open, so the
+/// frame is valid only while that buffer is alive (the decoder object
+/// itself may go away). DecodeKeyFrame turns it into a DcFrame on any
+/// thread.
+struct EncodedKeyFrame {
+  int64_t frame_index = 0;  ///< position among *all* frames of the stream
+  double timestamp = 0.0;   ///< seconds from stream start
+  int blocks_x = 0;
+  int blocks_y = 0;
+  const uint8_t* payload = nullptr;  ///< the record's payload bytes
+  size_t size = 0;                   ///< payload length in bytes
+};
+
 /// Counters of one decoding session (reset by Open).
 struct PartialDecoderStats {
   int64_t key_frames = 0;        ///< key frames emitted (incl. degraded)
@@ -91,7 +107,26 @@ class PartialDecoder {
   /// payload. Returns NotFound at end of stream. In strict mode malformed
   /// data returns kCorruption; in resync mode the decoder scans forward
   /// for the next plausible frame and may emit `out->degraded = true`.
+  /// Exactly NextEncodedKeyFrame's framing followed by DecodeKeyFrame,
+  /// except that a strict-mode entropy failure leaves the decoder on the
+  /// failing frame.
   Status NextKeyFrame(DcFrame* out);
+
+  /// The framing step alone: walks the record markers and lengths to the
+  /// next key frame (skipping P-frames, resynchronizing in resync mode, with
+  /// NextKeyFrame's status codes and messages) and returns its position,
+  /// timestamp, block grid and payload span without entropy-decoding it.
+  /// Counts the key frame in stats(); the entropy walk and its corruption
+  /// accounting are left to whoever runs DecodeKeyFrame.
+  Status NextEncodedKeyFrame(EncodedKeyFrame* out);
+
+  /// The decode step alone: the DC-only entropy walk of \p in's payload into
+  /// \p out, reusing `out->dc`'s capacity. Depends on nothing but its
+  /// arguments, so any thread may run it. On entropy damage returns
+  /// kCorruption with the DC prefix decoded so far in `out->dc` (the rest
+  /// zero) and `out->degraded` false; whether that prefix is kept as a
+  /// degraded frame is the caller's policy.
+  static Status DecodeKeyFrame(const EncodedKeyFrame& in, DcFrame* out);
 
   /// Convenience: extracts all key-frame DC maps in one call (strict mode).
   static Result<std::vector<DcFrame>> ExtractAll(const std::vector<uint8_t>& data);
@@ -102,6 +137,14 @@ class PartialDecoder {
   /// another valid marker). Positions pos_ there and returns true, or
   /// exhausts the stream and returns false.
   bool ResyncFrom(size_t from);
+
+  /// The framing loop shared by NextKeyFrame and NextEncodedKeyFrame: walks
+  /// to the next key frame and describes it in \p out, leaving pos_ on its
+  /// record (ConsumeKeyFrame steps past it).
+  Status FrameKeyFrame(EncodedKeyFrame* out);
+
+  /// Steps past the key-frame record FrameKeyFrame stopped on.
+  void ConsumeKeyFrame(const EncodedKeyFrame& frame);
 
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;

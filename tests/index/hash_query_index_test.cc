@@ -37,6 +37,51 @@ std::vector<QueryInfo> Infos(int m) {
   return infos;
 }
 
+/// Build's rows must equal what the straightforward per-row sort of query
+/// indices (by value, ties by index) gives, element for element, with the
+/// link invariants intact.
+void ExpectRowsMatchIndexSort(const std::vector<Sketch>& sketches,
+                              const std::vector<QueryInfo>& infos) {
+  auto idx = HashQueryIndex::Build(sketches, infos);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  EXPECT_TRUE(idx->Validate().ok()) << idx->Validate().ToString();
+  const int m = static_cast<int>(sketches.size());
+  for (int r = 0; r < sketches[0].K(); ++r) {
+    std::vector<int> order(static_cast<size_t>(m));
+    for (int q = 0; q < m; ++q) order[static_cast<size_t>(q)] = q;
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      const uint64_t va = sketches[static_cast<size_t>(a)].mins[static_cast<size_t>(r)];
+      const uint64_t vb = sketches[static_cast<size_t>(b)].mins[static_cast<size_t>(r)];
+      if (va != vb) return va < vb;
+      return a < b;
+    });
+    for (int j = 0; j < m; ++j) {
+      const int q = order[static_cast<size_t>(j)];
+      const std::pair<uint64_t, int> want = {
+          sketches[static_cast<size_t>(q)].mins[static_cast<size_t>(r)],
+          infos[static_cast<size_t>(q)].id};
+      ASSERT_EQ(idx->ElementAt(r, j), want) << "row " << r << " position " << j;
+    }
+  }
+}
+
+TEST(HashQueryIndexTest, BuildRowsMatchPerRowIndexSort) {
+  auto fam = MinHashFamily::Create(48).value();
+  Rng rng(77);
+  ExpectRowsMatchIndexSort(RandomSketches(fam, 60, &rng), Infos(60));
+  // Heavily tied: every row holds only three distinct values, so the
+  // order within a row is almost entirely the tie-break.
+  std::vector<Sketch> tied(40);
+  for (Sketch& sk : tied) {
+    sk.mins.resize(32);
+    for (uint64_t& v : sk.mins) v = rng.Uniform(3);
+  }
+  // Ids in reverse so a tie-break on ids instead of positions shows.
+  std::vector<QueryInfo> infos = Infos(40);
+  std::reverse(infos.begin(), infos.end());
+  ExpectRowsMatchIndexSort(tied, infos);
+}
+
 TEST(HashQueryIndexTest, BuildValidation) {
   auto fam = MinHashFamily::Create(8).value();
   Rng rng(1);

@@ -4,7 +4,9 @@
 /// at all) and through `parallel::StreamExecutor` at every thread count —
 /// the inline 0-thread mode included — must produce byte-identical
 /// per-stream match sequences, an identical global arrival-order match log,
-/// and identical per-stream detector stats.
+/// and identical per-stream detector stats. Feeding the executor encoded
+/// key frames, which its shards decode, must give exactly what feeding the
+/// decoded frames gives.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,10 @@
 #include "core/monitor.h"
 #include "parallel/executor.h"
 #include "util/rng.h"
+#include "video/codec.h"
+#include "video/partial_decoder.h"
+#include "video/scene_model.h"
+#include "video/synthetic.h"
 
 namespace vcd {
 namespace {
@@ -343,6 +349,168 @@ TEST(EquivalenceTest, ParallelRunsAreReproducible) {
   EXPECT_EQ(a.arrival_order, b.arrival_order);
   EXPECT_EQ(a.per_stream, b.per_stream);
 }
+
+/// Encoded VCDS streams for the decode-path equivalence: a clip whose
+/// opening is the query, an unrelated clip, and damaged copies of both
+/// (zeroed key-frame payloads, bit flips, a torn frame marker) that a
+/// resync-mode decoder turns into degraded frames and resyncs.
+struct EncodedCorpus {
+  std::vector<std::vector<uint8_t>> files;
+  std::vector<video::DcFrame> query;
+};
+
+std::vector<uint8_t> EncodeScene(uint64_t seed, double seconds) {
+  const video::SceneModel model = video::SceneModel::Generate(seed, seconds + 1.0);
+  video::RenderOptions ro;
+  ro.width = 96;
+  ro.height = 64;
+  ro.fps = 10.0;
+  auto clip = video::RenderVideo(model, 0.0, seconds, ro);
+  EXPECT_TRUE(clip.ok());
+  video::CodecParams p;
+  p.width = ro.width;
+  p.height = ro.height;
+  p.fps = ro.fps;
+  p.gop_size = 3;
+  p.motion_search_range = 2;
+  auto bytes = video::Encoder::EncodeVideo(*clip, p);
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? std::move(bytes).value() : std::vector<uint8_t>{};
+}
+
+/// Damages \p data in place, leaving the stream header (the first 64
+/// bytes) alone: zeroes and bit-flips spans inside it and tears one byte
+/// that may be a frame marker.
+void Damage(std::vector<uint8_t>* data, uint64_t seed) {
+  Rng rng(seed);
+  const auto at = [&] { return 64 + rng.Uniform(static_cast<uint32_t>(data->size() - 128)); };
+  for (int i = 0; i < 3; ++i) {
+    const size_t from = at();
+    for (size_t b = from; b < from + 40 && b < data->size(); ++b) (*data)[b] = 0;
+  }
+  for (int i = 0; i < 6; ++i) (*data)[at()] ^= static_cast<uint8_t>(1u << rng.Uniform(8));
+  (*data)[at()] = 0x5A;
+}
+
+const EncodedCorpus& Corpus() {
+  static const EncodedCorpus corpus = [] {
+    EncodedCorpus c;
+    c.files.push_back(EncodeScene(21, 24.0));
+    c.files.push_back(EncodeScene(22, 24.0));
+    for (int i = 0; i < 2; ++i) {
+      std::vector<uint8_t> damaged = c.files[static_cast<size_t>(i)];
+      Damage(&damaged, 100 + static_cast<uint64_t>(i));
+      c.files.push_back(std::move(damaged));
+    }
+    auto key_frames = video::PartialDecoder::ExtractAll(EncodeScene(21, 12.0));
+    EXPECT_TRUE(key_frames.ok());
+    if (key_frames.ok()) c.query = std::move(key_frames).value();
+    return c;
+  }();
+  return corpus;
+}
+
+/// One run over the corpus, every file fed round-robin through a
+/// resync-mode PartialDecoder: as decoded DcFrames, or (\p encoded) as
+/// EncodedKeyFrames the shards decode. A second query joins and leaves
+/// mid-run. \p degraded receives the shards' degraded-frame count.
+RunLog CorpusRun(int threads, int queue_capacity, bool encoded,
+                 int64_t* degraded) {
+  const EncodedCorpus& corpus = Corpus();
+  core::ParallelConfig pc;
+  pc.num_threads = threads;
+  pc.queue_capacity = queue_capacity;
+  pc.backpressure = core::BackpressurePolicy::kBlock;
+  auto exec = StreamExecutor::Create(SmallConfig(), pc).value();
+  EXPECT_TRUE(exec->AddQuery(1, corpus.query, -1.0).ok());
+  std::vector<int> ids;
+  std::vector<std::string> names;
+  std::vector<video::PartialDecoder> decoders(corpus.files.size());
+  for (size_t i = 0; i < corpus.files.size(); ++i) {
+    names.push_back("file-" + std::to_string(i));
+    ids.push_back(exec->OpenStream(names.back()).value());
+    decoders[i].set_resync_on_corruption(true);
+    EXPECT_TRUE(decoders[i].Open(corpus.files[i].data(), corpus.files[i].size()).ok());
+  }
+  std::vector<bool> done(decoders.size(), false);
+  for (int round = 0;; ++round) {
+    if (round == 20) {
+      EXPECT_TRUE(exec->AddQuerySketch(2, RandomSketch(SmallConfig(), 7), 30, 12.0).ok());
+    }
+    if (round == 50) {
+      EXPECT_TRUE(exec->RemoveQuery(2).ok());
+    }
+    bool any = false;
+    for (size_t i = 0; i < decoders.size(); ++i) {
+      if (done[i]) continue;
+      Status st;
+      if (encoded) {
+        video::EncodedKeyFrame f;
+        st = decoders[i].NextEncodedKeyFrame(&f);
+        if (st.ok()) {
+          EXPECT_TRUE(exec->ProcessKeyFrame(ids[i], f).ok());
+        }
+      } else {
+        video::DcFrame f;
+        st = decoders[i].NextKeyFrame(&f);
+        if (st.ok()) {
+          EXPECT_TRUE(exec->ProcessKeyFrame(ids[i], std::move(f)).ok());
+        }
+      }
+      if (!st.ok()) {
+        EXPECT_EQ(st.code(), StatusCode::kNotFound) << st.ToString();
+        done[i] = true;
+        continue;
+      }
+      any = true;
+    }
+    if (!any) break;
+  }
+  EXPECT_TRUE(exec->Drain().ok());
+  RunLog log;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto stats = exec->StreamStats(ids[i]);
+    EXPECT_TRUE(stats.ok());
+    if (stats.ok()) log.stats[names[i]] = KeyOf(*stats);
+  }
+  *degraded = 0;
+  for (const auto& sh : exec->Stats().shards) *degraded += sh.frames_degraded;
+  for (int id : ids) EXPECT_TRUE(exec->CloseStream(id).ok());
+  for (const StreamMatch& m : exec->matches()) {
+    log.arrival_order.push_back(MatchKey(m));
+    log.per_stream[m.stream_name].push_back(MatchKey(m));
+  }
+  return log;
+}
+
+class EncodedEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+/// Decoding on the shards — by the worker, or by the producer when the
+/// queue is full (queue capacity 1) — must not change a single match,
+/// stat or degraded frame relative to feeding the same frames decoded.
+TEST_P(EncodedEquivalenceTest, EncodedFeedMatchesDecodedFeed) {
+  int64_t ref_degraded = 0;
+  const RunLog ref = CorpusRun(0, 32, /*encoded=*/false, &ref_degraded);
+  // Non-vacuous: the query is found, and damaged frames travel the paths.
+  ASSERT_GE(ref.per_stream.count("file-0"), 1u);
+  ASSERT_GT(ref_degraded, 0);
+  for (const int queue_capacity : {32, 1}) {
+    for (const bool encoded : {false, true}) {
+      int64_t degraded = 0;
+      const RunLog run = CorpusRun(GetParam(), queue_capacity, encoded, &degraded);
+      const std::string where = std::to_string(GetParam()) + " threads, queue " +
+                                std::to_string(queue_capacity) +
+                                (encoded ? ", encoded" : ", decoded");
+      EXPECT_EQ(run.per_stream, ref.per_stream) << where;
+      EXPECT_EQ(run.arrival_order, ref.arrival_order) << where;
+      EXPECT_TRUE(run.stats == ref.stats) << where;
+      EXPECT_EQ(degraded, ref_degraded) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, EncodedEquivalenceTest,
+                         ::testing::Values(0, 1, 2, 4, 8));
 
 }  // namespace
 }  // namespace vcd

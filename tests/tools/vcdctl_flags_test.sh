@@ -3,7 +3,8 @@
 # --threads/--queue/--backpressure/--on-corruption/--watchdog-ms/
 # --push-deadline-ms/--qos*/interval values must exit 2 with a usage message BEFORE
 # any file I/O happens — the query-db path below does not exist, so reaching
-# the loader would fail with a different error and no usage line.
+# the loader would fail with a different error and no usage line. Also pins
+# the range check of the other subcommands' integer flags.
 #
 # Usage: vcdctl_flags_test.sh <path-to-vcdctl>
 set -u
@@ -121,6 +122,40 @@ expect_range_error --push-deadline-ms --threads=2 --push-deadline-ms=3e9
 expect_range_error --qos-tick-ms --threads=2 --qos --qos-tick-ms=3e9
 expect_range_error --queue --threads=2 --queue=nan
 
+# The other subcommands' integer flags go through the same check: 3e9 and
+# nan are usage errors naming the flag (exit 2 + that subcommand's usage),
+# raised before any file is touched. ("build-queries --k 3e9" once wrapped
+# to a negative K and reported "K must be >= 1".)
+expect_subcommand_range_error() {
+  local cmd="$1" flag="$2" value="$3"
+  shift 3
+  local err rc
+  err=$("$VCDCTL" "$cmd" "$@" "$flag=$value" 2>&1 >/dev/null)
+  rc=$?
+  if [ $rc -ne 2 ]; then
+    echo "FAIL: $cmd $flag=$value: expected exit 2, got $rc"
+    FAILED=1
+  fi
+  if ! echo "$err" | grep -q -- "error: $flag must be in \[" ||
+     ! echo "$err" | grep -q "usage: vcdctl $cmd"; then
+    echo "FAIL: $cmd $flag=$value: stderr lacks the range error or the usage message:"
+    echo "$err"
+    FAILED=1
+  fi
+}
+for value in 3e9 nan; do
+  expect_subcommand_range_error generate --w "$value" --out=/nonexistent/clip.y4m
+  expect_subcommand_range_error generate --h "$value" --out=/nonexistent/clip.y4m
+  expect_subcommand_range_error encode --gop "$value" \
+    /nonexistent/clip.y4m /nonexistent/clip.vcds
+  expect_subcommand_range_error encode --quantizer "$value" \
+    /nonexistent/clip.y4m /nonexistent/clip.vcds
+  expect_subcommand_range_error fingerprint --d "$value" "$NO_SUCH_STREAM"
+  expect_subcommand_range_error fingerprint --u "$value" "$NO_SUCH_STREAM"
+  expect_subcommand_range_error build-queries --k "$value" \
+    /nonexistent/out.vcdq 1="$NO_SUCH_STREAM"
+done
+
 # A --kernel the CPU/build cannot run must also be a usage error (exit 2),
 # not a crash or silent fallback. neon is never supported on x86 hosts and
 # every other name stays valid, so probe via `vcdctl kernels`.
@@ -189,5 +224,5 @@ fi
 if [ $FAILED -ne 0 ]; then
   exit 1
 fi
-echo "OK: vcdctl monitor flag validation behaves as pinned"
+echo "OK: vcdctl flag validation behaves as pinned"
 exit 0

@@ -7,8 +7,11 @@
 #     on --metrics-out) BEFORE any file I/O, exit 2 + usage, matching the
 #     contract vcdctl_flags_test.sh pins for the other monitor flags;
 #   - the default (inline, no --threads) monitor publishes the whole
-#     pipeline to --metrics-out: detector and shard series, and the
-#     decoder's per-key-frame vcd_decode_frame_ns histogram.
+#     pipeline to --metrics-out: detector and shard series, the shard
+#     queue-wait histogram, and the decoder's per-key-frame
+#     vcd_decode_frame_ns histogram;
+#   - at --threads 2, where the shards decode, vcd_decode_frame_ns still
+#     counts every key frame once, and every shard reports its queue wait.
 #
 # Usage: vcdctl_metrics_test.sh <path-to-vcdctl>
 set -u
@@ -118,12 +121,37 @@ if "$VCDCTL" generate --out="$WORK/clip.y4m" --seconds=8 --seed=7 \
   fi
   for series in vcd_detector_windows_total vcd_shard_frames_processed_total \
                 vcd_shard_frames_degraded_total vcd_shard_queue_depth \
-                vcd_shard_stream_lag_us vcd_decode_frame_ns; do
+                vcd_shard_stream_lag_us vcd_shard_queue_wait_ns \
+                vcd_decode_frame_ns; do
     if ! grep -q "\"$series\"" "$WORK/m.json" 2>/dev/null; then
       echo "FAIL: default-path --metrics-out lacks $series"
       FAILED=1
     fi
   done
+  if ! "$VCDCTL" monitor "$WORK/q.vcdq" "$WORK/clip.vcds" "$WORK/clip.vcds" \
+       --threads=2 --metrics-out="$WORK/t.json" >/dev/null; then
+    echo "FAIL: --threads 2 monitor with --metrics-out failed"
+    FAILED=1
+  fi
+  if ! python3 - "$WORK/t.json" <<'EOF'
+import json, sys
+ms = json.load(open(sys.argv[1]))["metrics"]
+def find(name):
+    return [m for m in ms if m["name"] == name]
+key_frames = sum(m["value"] for m in find("vcd_decoder_key_frames_total"))
+decoded = sum(m["count"] for m in find("vcd_decode_frame_ns"))
+waits = {m["labels"]["shard"]: m["count"] for m in find("vcd_shard_queue_wait_ns")}
+ok = key_frames > 0 and decoded == key_frames
+ok = ok and sorted(waits) == ["0", "1"] and all(c > 0 for c in waits.values())
+if not ok:
+    print("key frames %d, decode spans %d, queue waits %s" % (key_frames, decoded, waits))
+sys.exit(0 if ok else 1)
+EOF
+  then
+    echo "FAIL: --threads 2: decode spans must equal key frames, and both" \
+      "shards must report vcd_shard_queue_wait_ns"
+    FAILED=1
+  fi
 else
   echo "FAIL: fixture generation for the default-path metrics check"
   FAILED=1

@@ -3,8 +3,10 @@
 # whose key-frame payloads are zeroed over a span (frame headers intact, so
 # the decoder emits degraded frames instead of resynchronizing past them)
 # must be quarantined by the per-stream health machine. The default inline
-# run (no --threads) and a `--threads 2` run must print the same MATCH
-# lines, the same degraded/discarded lines and the same per-shard frame sum.
+# run (no --threads), a `--threads 2` run and a `--threads 3 --queue 1` run
+# (a one-slot queue is always full, so the ingest thread decodes most
+# frames itself before its blocking push) must print the same MATCH lines,
+# the same degraded/discarded lines and the same per-shard frame sum.
 #
 # Usage: vcdctl_quarantine_test.sh <path-to-vcdctl>
 set -u
@@ -66,6 +68,7 @@ run() {  # run <label> [extra flags...]
 
 run inline
 run threaded --threads=2
+run queue1 --threads=3 --queue=1
 
 if ! grep -q 'frames discarded over [1-9][0-9]* quarantine events' \
      "$WORK/inline.out"; then
@@ -85,9 +88,17 @@ if ! diff -u "$WORK/inline.frames" "$WORK/threaded.frames"; then
   echo "FAIL: inline and --threads 2 shards processed different frame counts"
   FAILED=1
 fi
+if ! diff -u "$WORK/inline.lines" "$WORK/queue1.lines"; then
+  echo "FAIL: inline and --threads 3 --queue 1 runs report different matches or faults"
+  FAILED=1
+fi
+if ! diff -u "$WORK/inline.frames" "$WORK/queue1.frames"; then
+  echo "FAIL: inline and --threads 3 --queue 1 shards processed different frame counts"
+  FAILED=1
+fi
 
 if [ $FAILED -ne 0 ]; then
   exit 1
 fi
-echo "OK: quarantine behaves identically inline and at --threads 2"
+echo "OK: quarantine behaves identically inline, at --threads 2 and at --threads 3 --queue 1"
 exit 0

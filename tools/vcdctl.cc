@@ -91,6 +91,27 @@ struct Args {
   }
 };
 
+/// Reads the integer flag --\p name (\p def when absent) into \p out
+/// (when non-null), range-checked as a double before the cast: a value
+/// outside [lo, hi] (or NaN) must neither wrap through an undefined int
+/// conversion nor reach the engine. Prints the error and returns false when
+/// out of range; the later `static_cast<int>(a.Num(...))` reads of a flag
+/// that passed are then defined. Every integer flag of every subcommand
+/// goes through here; the caller prints its usage and exits 2.
+bool IntFlag(const Args& a, const std::string& name, int def, int lo, int hi,
+             int* out = nullptr) {
+  const double v = a.Num(name, def);
+  if (!(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "error: --%s must be in [%d, %d] (got %s)\n",
+                 name.c_str(), lo, hi, a.Str(name, "").c_str());
+    return false;
+  }
+  if (out != nullptr) *out = static_cast<int>(v);
+  return true;
+}
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
 int Fail(const Status& st) {
   std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
   return 1;
@@ -124,12 +145,17 @@ int CmdGenerate(const Args& a) {
     std::fprintf(stderr, "generate requires --out\n");
     return 2;
   }
+  video::RenderOptions ro;
+  if (!IntFlag(a, "w", 352, 1, kIntMax, &ro.width) ||
+      !IntFlag(a, "h", 240, 1, kIntMax, &ro.height)) {
+    std::fprintf(stderr,
+                 "usage: vcdctl generate --seed N --seconds S --out clip.y4m "
+                 "[--fps F --w W --h H]\n");
+    return 2;
+  }
   const double seconds = a.Num("seconds", 10.0);
   video::SceneModel model = video::SceneModel::Generate(
       static_cast<uint64_t>(a.Num("seed", 1)), seconds + 1.0);
-  video::RenderOptions ro;
-  ro.width = static_cast<int>(a.Num("w", 352));
-  ro.height = static_cast<int>(a.Num("h", 240));
   ro.fps = a.Num("fps", 29.97);
   auto clip = video::RenderVideo(model, 0.0, seconds, ro);
   if (!clip.ok()) return Fail(clip.status());
@@ -140,18 +166,21 @@ int CmdGenerate(const Args& a) {
 }
 
 int CmdEncode(const Args& a) {
-  if (a.positional.size() != 2) {
-    std::fprintf(stderr, "usage: vcdctl encode in.y4m out.vcds\n");
+  video::CodecParams p;
+  // Ranges as CodecParams::Validate.
+  if (a.positional.size() != 2 ||
+      !IntFlag(a, "gop", 12, 1, 255, &p.gop_size) ||
+      !IntFlag(a, "quantizer", 4, 1, 31, &p.quantizer)) {
+    std::fprintf(stderr,
+                 "usage: vcdctl encode in.y4m out.vcds "
+                 "[--quantizer Q --gop G --fps F]\n");
     return 2;
   }
   auto clip = video::ReadY4mFile(a.positional[0]);
   if (!clip.ok()) return Fail(clip.status());
-  video::CodecParams p;
   p.width = clip->frames.empty() ? 0 : clip->frames[0].width();
   p.height = clip->frames.empty() ? 0 : clip->frames[0].height();
   p.fps = a.Num("fps", clip->fps);
-  p.gop_size = static_cast<int>(a.Num("gop", 12));
-  p.quantizer = static_cast<int>(a.Num("quantizer", 4));
   auto bytes = video::Encoder::EncodeVideo(*clip, p);
   if (!bytes.ok()) return Fail(bytes.status());
   if (Status st = WriteFile(*bytes, a.positional[1]); !st.ok()) return Fail(st);
@@ -205,17 +234,17 @@ int CmdInfo(const Args& a) {
 }
 
 int CmdFingerprint(const Args& a) {
-  if (a.positional.size() != 1) {
-    std::fprintf(stderr, "usage: vcdctl fingerprint in.vcds\n");
+  features::FingerprintOptions opts;
+  if (a.positional.size() != 1 ||
+      !IntFlag(a, "d", 5, 1, kIntMax, &opts.feature.d) ||
+      !IntFlag(a, "u", 4, 1, kIntMax, &opts.u)) {
+    std::fprintf(stderr, "usage: vcdctl fingerprint in.vcds [--d D --u U]\n");
     return 2;
   }
   auto bytes = ReadFile(a.positional[0]);
   if (!bytes.ok()) return Fail(bytes.status());
   auto frames = video::PartialDecoder::ExtractAll(*bytes);
   if (!frames.ok()) return Fail(frames.status());
-  features::FingerprintOptions opts;
-  opts.feature.d = static_cast<int>(a.Num("d", 5));
-  opts.u = static_cast<int>(a.Num("u", 4));
   auto fp = features::FrameFingerprinter::Create(opts);
   if (!fp.ok()) return Fail(fp.status());
   for (const auto& frame : *frames) {
@@ -248,12 +277,12 @@ int CmdShots(const Args& a) {
 }
 
 int CmdBuildQueries(const Args& a) {
-  if (a.positional.size() < 2) {
-    std::fprintf(stderr, "usage: vcdctl build-queries out.vcdq id=clip.vcds ...\n");
+  core::DetectorConfig config;
+  if (a.positional.size() < 2 || !IntFlag(a, "k", 800, 1, kIntMax, &config.K)) {
+    std::fprintf(stderr,
+                 "usage: vcdctl build-queries out.vcdq id=clip.vcds ... [--k K]\n");
     return 2;
   }
-  core::DetectorConfig config;
-  config.K = static_cast<int>(a.Num("k", 800));
   auto det = core::CopyDetector::Create(config);
   if (!det.ok()) return Fail(det.status());
   for (size_t i = 1; i < a.positional.size(); ++i) {
@@ -525,12 +554,13 @@ Result<ckpt::SnapshotState> LoadRestoreState(
   return state;
 }
 
-/// Advances \p pd past the \p n key frames a restored run already consumed.
+/// Advances \p pd past the \p n key frames a restored run already consumed
+/// (framing only: the replayed frames are not decoded).
 Status SkipKeyFrames(video::PartialDecoder* pd, int64_t n,
                      const std::string& path) {
-  video::DcFrame f;
+  video::EncodedKeyFrame f;
   for (int64_t i = 0; i < n; ++i) {
-    if (Status st = pd->NextKeyFrame(&f); !st.ok()) {
+    if (Status st = pd->NextEncodedKeyFrame(&f); !st.ok()) {
       return Status::FailedPrecondition(
           path + ": ran out of key frames replaying to the checkpoint "
                  "position (file changed since the snapshot?): " +
@@ -544,8 +574,10 @@ Status SkipKeyFrames(video::PartialDecoder* pd, int64_t n,
 /// opened on one StreamExecutor and fed round-robin (the arrival pattern of
 /// concurrent live feeds). With `--threads N` the streams are sharded over N
 /// worker threads; without it (0) the executor runs inline on this thread,
-/// which is the serial engine. Every input file is read into memory up
-/// front, so the resident set grows with the summed input size.
+/// which is the serial engine. This thread only frames key frames; the
+/// owning shard entropy-decodes them, so `--threads` scales decoding too.
+/// Every input file is read into memory up front, so the resident set grows
+/// with the summed input size.
 ///
 /// Checkpoints are taken only at the TOP of a round-robin cycle, so every
 /// live file has fed the same number of frames and a resumed run repeats
@@ -585,6 +617,10 @@ int MonitorStreams(const Args& a, const core::DetectorConfig& config,
   const int metrics_interval_ms =
       static_cast<int>(a.Num("metrics-interval-ms", 0));
   if (!metrics_out.empty()) pc.metrics = &obs::MetricsRegistry::Global();
+  // The stream files' bytes. Declared before the executor: queued frames
+  // point into these buffers, and the executor's destructor still runs
+  // them, so they must outlive it on every return path.
+  std::vector<std::vector<uint8_t>> bytes;
   auto exec = parallel::StreamExecutor::Create(config, pc);
   if (!exec.ok()) return Fail(exec.status());
 
@@ -658,7 +694,6 @@ int MonitorStreams(const Args& a, const core::DetectorConfig& config,
     }
   };
 
-  std::vector<std::vector<uint8_t>> bytes;       // keeps decoder storage alive
   std::vector<video::PartialDecoder> decoders(pos.size());
   for (size_t i = 0; i < pos.size(); ++i) {
     if (pos[i].done) {
@@ -668,8 +703,9 @@ int MonitorStreams(const Args& a, const core::DetectorConfig& config,
     auto b = ReadFile(pos[i].path);
     if (!b.ok()) return Fail(b.status());
     bytes.push_back(std::move(*b));
-    // skip/quarantine tolerate corrupt input: the decoder resynchronizes
-    // and emits degraded frames instead of failing the whole run.
+    // skip/quarantine tolerate corrupt input: the framing resynchronizes
+    // past a torn record instead of stopping the stream. (Entropy damage
+    // reaches the shards as a degraded frame under every policy.)
     decoders[i].set_resync_on_corruption(pc.on_corruption !=
                                          core::CorruptionPolicy::kFail);
     if (!metrics_out.empty()) {
@@ -696,7 +732,7 @@ int MonitorStreams(const Args& a, const core::DetectorConfig& config,
     }
   }
   bool any = true;
-  video::DcFrame f;
+  video::EncodedKeyFrame f;
   const int64_t interval_ns = static_cast<int64_t>(metrics_interval_ms) * 1000000;
   int64_t next_dump_ns = interval_ns > 0 ? obs::NowNanos() + interval_ns : 0;
   const int64_t ckpt_interval_ns =
@@ -725,7 +761,7 @@ int MonitorStreams(const Args& a, const core::DetectorConfig& config,
     any = false;
     for (size_t i = 0; i < decoders.size(); ++i) {
       if (pos[i].done) continue;
-      if (Status st = decoders[i].NextKeyFrame(&f); !st.ok()) {
+      if (Status st = decoders[i].NextEncodedKeyFrame(&f); !st.ok()) {
         if (st.code() != StatusCode::kNotFound) {
           std::fprintf(stderr, "warning: %s: %s; stream stopped\n",
                        pos[i].path.c_str(), st.ToString().c_str());
@@ -734,8 +770,7 @@ int MonitorStreams(const Args& a, const core::DetectorConfig& config,
         continue;
       }
       any = true;
-      if (Status st = (*exec)->ProcessKeyFrame(pos[i].stream_id, std::move(f));
-          !st.ok()) {
+      if (Status st = (*exec)->ProcessKeyFrame(pos[i].stream_id, f); !st.ok()) {
         return Fail(st);
       }
       ++pos[i].frames_fed;
@@ -748,12 +783,30 @@ int MonitorStreams(const Args& a, const core::DetectorConfig& config,
       next_dump_ns = obs::NowNanos() + interval_ns;
     }
   }
+  // Entropy damage is found where the frame is decoded, on its shard; under
+  // --on-corruption fail the health machine then fails the stream. That is
+  // reported here like damage the framing finds: that stream stopped, the
+  // run goes on.
+  int failed_streams = 0;
   for (DriverPos& p : pos) {
     if (p.stream_id <= 0) continue;
+    auto health = (*exec)->HealthOf(p.stream_id);
+    if (health.ok() && *health == parallel::StreamHealth::kFailed) {
+      std::fprintf(stderr,
+                   "warning: %s: Corruption: damaged key frame payload; "
+                   "stream stopped\n",
+                   p.path.c_str());
+      ++failed_streams;
+    }
     if (Status st = (*exec)->CloseStream(p.stream_id); !st.ok()) return Fail(st);
     p.stream_id = 0;
   }
-  if (Status st = (*exec)->Drain(); !st.ok()) return Fail(st);
+  // A failed stream is also the executor's sticky Corruption error; having
+  // reported it above, it does not fail the run.
+  if (Status st = (*exec)->Drain();
+      !st.ok() && !(failed_streams > 0 && st.code() == StatusCode::kCorruption)) {
+    return Fail(st);
+  }
   // Final checkpoint after the close/drain so a restored run of a finished
   // job reports the complete match log instead of re-feeding anything.
   if (ckptr != nullptr) take_checkpoint();
@@ -834,24 +887,6 @@ void MonitorUsage() {
                "--degrade-policy probe=N,cap=N,nogeo]\n");
 }
 
-/// Reads the integer flag --\p name (\p def when absent) into \p out
-/// (when non-null), range-checked as a double before the cast: a value
-/// outside [lo, hi] (or NaN) must neither wrap through an undefined int
-/// conversion nor reach the engine. Prints the error and returns false when
-/// out of range; the later `static_cast<int>(a.Num(...))` reads of a flag
-/// that passed are then defined.
-bool IntFlag(const Args& a, const std::string& name, int def, int lo, int hi,
-             int* out = nullptr) {
-  const double v = a.Num(name, def);
-  if (!(v >= lo && v <= hi)) {
-    std::fprintf(stderr, "error: --%s must be in [%d, %d] (got %s)\n",
-                 name.c_str(), lo, hi, a.Str(name, "").c_str());
-    return false;
-  }
-  if (out != nullptr) *out = static_cast<int>(v);
-  return true;
-}
-
 int CmdMonitor(const Args& a) {
   if (a.positional.size() < 2) {
     MonitorUsage();
@@ -861,7 +896,6 @@ int CmdMonitor(const Args& a) {
   // fails fast with a usage message instead of a missing-file error.
   // --threads is capped so an out-of-range value cannot reach thread
   // creation.
-  constexpr int kIntMax = std::numeric_limits<int>::max();
   int threads = 0, metrics_interval_ms = 0, push_deadline_ms = 0;
   CkptOptions copt;
   if (!IntFlag(a, "threads", 0, 0, core::kMaxThreads, &threads) ||
